@@ -42,8 +42,13 @@
 //                      DESIGN.md §3e for the determinism contract
 //   --timeseries FILE  write 1 Hz network time series CSV
 //   --flows-csv FILE   write per-flow results CSV
+//   --fingerprint      also print the run's exp::fingerprint (hex) and
+//                      executed event count — the same-seed
+//                      equivalence oracle, for comparing two builds
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -125,6 +130,7 @@ int main(int argc, char** argv) {
   std::string timeseries_path;
   std::string flows_path;
   double deadline_s = 0.0;
+  bool print_fingerprint = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -190,6 +196,8 @@ int main(int argc, char** argv) {
       timeseries_path = argv[++i];
     } else if (a == "--flows-csv" && i + 1 < argc) {
       flows_path = argv[++i];
+    } else if (a == "--fingerprint") {
+      print_fingerprint = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "see the header comment of examples/wmnsim_cli.cpp\n";
       return 0;
@@ -289,6 +297,12 @@ int main(int argc, char** argv) {
   t.add_row({"sim events", stats::Table::num(m.sim_event_count, 0)});
   t.add_row({"wall seconds", stats::Table::num(m.wall_seconds, 2)});
   t.print(std::cout);
+  if (print_fingerprint) {
+    std::cout << "fingerprint " << std::hex << std::setw(16)
+              << std::setfill('0') << exp::fingerprint(m) << std::dec
+              << "\nevents_executed "
+              << static_cast<std::uint64_t>(m.sim_event_count) << "\n";
+  }
 
   if (probe && !timeseries_path.empty()) {
     if (probe->save_csv(timeseries_path)) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "core/check.hpp"
@@ -43,20 +44,22 @@ void WirelessChannel::attach_remote(WifiPhy* phy) {
 void WirelessChannel::set_shard_router(ShardRouter* router, std::uint32_t region_id) {
   router_ = router;
   region_id_ = region_id;
+  // Cached candidate order depends on whether a router is installed.
+  for (NeighborCache& nc : neighbor_caches_) {
+    nc.built_version = ~std::uint64_t{0};
+  }
+}
+
+WirelessChannel::~WirelessChannel() {
+  for (const auto& lane : lanes_) sim_.remove_lane(lane->id_);
 }
 
 void WirelessChannel::accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm,
                                    double p_mw, sim::Time release_at,
                                    sim::Time duration) {
-  const std::uint32_t slot = acquire_slot();
-  PendingDelivery& d = pending_[slot];
-  d.packet.emplace(std::move(packet));
-  d.rx = rx;
-  d.rx_power_dbm = p_dbm;
-  d.rx_power_mw = p_mw;
-  d.duration = duration;
-  ++in_flight_;
-  sim_.schedule_at(release_at, [this, slot] { deliver(slot); });
+  staged_.push_back(
+      ArrivalLane::Item{release_at, p_dbm, p_mw, rx->channel_index()});
+  launch(packet, duration);
 }
 
 void WirelessChannel::enable_spatial_index(double area_width_m,
@@ -76,64 +79,136 @@ double WirelessChannel::link_rx_power_dbm(const WifiPhy& tx,
                                     rx.position(now), tx.node_id(), rx.node_id());
 }
 
-std::uint32_t WirelessChannel::acquire_slot() {
-  if (free_head_ != kNilSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = pending_[slot].next_free;
-    pending_[slot].next_free = kNilSlot;
-    return slot;
-  }
-  pending_.emplace_back();
-  return static_cast<std::uint32_t>(pending_.size() - 1);
-}
-
-void WirelessChannel::deliver(std::uint32_t slot) {
-  PendingDelivery& d = pending_[slot];
-  WMN_CHECK(d.packet.has_value(), "delivery slot fired twice");
-  net::Packet packet = std::move(*d.packet);
-  WifiPhy* rx = d.rx;
-  const double p_dbm = d.rx_power_dbm;
-  const double p_mw = d.rx_power_mw;
-  const sim::Time duration = d.duration;
-  d.packet.reset();
-  d.rx = nullptr;
-  d.next_free = free_head_;
-  free_head_ = slot;
-  --in_flight_;
-  // The receiver may have crashed during the propagation delay.
-  if (fault_ != nullptr && !fault_->node_up(rx->node_id())) {
-    ++counters_.copies_dropped_fault;
-    return;
-  }
-  rx->begin_arrival(std::move(packet), p_dbm, p_mw, duration);
-}
-
-void WirelessChannel::schedule_delivery(WifiPhy* rx, const net::Packet& packet,
-                                        double p_dbm, double p_mw,
-                                        sim::Time delay, sim::Time duration) {
-  ++counters_.copies_delivered;
+void WirelessChannel::stage(std::uint32_t rx, const net::Packet& packet,
+                            double p_dbm, double p_mw, sim::Time at,
+                            sim::Time duration) {
   // Sharded runs route receivers homed in another region through the
-  // barrier-merged inboxes; the copy is accounted here, where the
-  // physics decided it.
+  // barrier-merged inboxes; the destination region's lane delivers
+  // (and counts) the copy.
   if (router_ != nullptr) {
-    const std::uint32_t dst = router_->region_of(rx->node_id());
+    const std::uint32_t dst = router_->region_of(radios_[rx]->node_id());
     if (dst != region_id_) {
-      router_->post(region_id_, dst, rx, packet, p_dbm, p_mw, sim_.now() + delay,
+      router_->post(region_id_, dst, radios_[rx], packet, p_dbm, p_mw, at,
                     duration);
       return;
     }
   }
-  // Each receiver gets its own (cheap, header-sharing) packet copy,
-  // parked in a recycled slot until the propagation delay elapses.
-  const std::uint32_t slot = acquire_slot();
-  PendingDelivery& d = pending_[slot];
-  d.packet.emplace(packet);
-  d.rx = rx;
-  d.rx_power_dbm = p_dbm;
-  d.rx_power_mw = p_mw;
-  d.duration = duration;
-  ++in_flight_;
-  sim_.schedule(delay, [this, slot] { deliver(slot); });
+  staged_.push_back(ArrivalLane::Item{at, p_dbm, p_mw, rx});
+}
+
+void WirelessChannel::launch(const net::Packet& packet, sim::Time duration) {
+  const std::size_t n = staged_.size();
+  if (n == 0) return;
+  // (arrival time, attach order): the order the per-receiver events
+  // would pop in. Every path stages in attach order and a static
+  // cache stages in exactly this order already.
+  const auto arrival_order = [](const ArrivalLane::Item& a,
+                                const ArrivalLane::Item& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.rx < b.rx;
+  };
+  if (!std::is_sorted(staged_.begin(), staged_.end(), arrival_order)) {
+    std::sort(staged_.begin(), staged_.end(), arrival_order);
+  }
+
+  ArrivalLane* lane = nullptr;
+  if (free_lanes_.empty()) {
+    lanes_.push_back(std::make_unique<ArrivalLane>(*this));
+    lane = lanes_.back().get();
+    lane->id_ = sim_.add_lane(lane);
+  } else {
+    lane = free_lanes_.back();
+    free_lanes_.pop_back();
+  }
+  // The n sequence numbers the per-receiver schedule() calls would have
+  // drawn here, assigned in arrival order — exact, because no other
+  // event can draw a number inside the block (DESIGN.md §3c).
+  lane->first_seq_ = sim_.reserve_seqs(n);
+  lane->packet_.emplace(packet);
+  lane->duration_ = duration;
+  lane->items_.swap(staged_);
+  staged_.clear();
+  lane->next_begin_ = 0;
+  lane->begun_ = 0;
+  lane->next_end_ = 0;
+  lane->open_ends_ = 0;
+  in_flight_ += n;
+  sim_.lane_push(lane->id_, lane->begin_key(0), static_cast<std::uint32_t>(n));
+}
+
+// --- ArrivalLane --------------------------------------------------------
+
+bool ArrivalLane::head(Key* key, bool* is_begin) {
+  // Items before begun_ have run their begin, so their end is settled
+  // (queued, or never coming); skip the ones without one.
+  while (next_end_ < begun_ && items_[next_end_].end_seq == 0) ++next_end_;
+  const bool end_left = next_end_ < begun_;
+  const bool begin_left = next_begin_ < items_.size();
+  if (begin_left && end_left) {
+    const Key b = begin_key(next_begin_);
+    const Key e = end_key(next_end_);
+    *is_begin = b.at != e.at ? b.at < e.at : b.seq < e.seq;
+    *key = *is_begin ? b : e;
+    return true;
+  }
+  if (!begin_left && !end_left) return false;
+  *is_begin = begin_left;
+  *key = begin_left ? begin_key(next_begin_) : end_key(next_end_);
+  return true;
+}
+
+sim::Lane::Detached ArrivalLane::detach() {
+  Key key{};
+  bool is_begin = false;
+  const bool any = head(&key, &is_begin);
+  WMN_CHECK(any, "detach() on a drained arrival lane");
+  Detached d{};
+  d.token = is_begin ? next_begin_++ : (next_end_++ | kEndBit);
+  // The detached begin's own end is unknown until it runs; head() only
+  // looks at ends below begun_, which excludes it.
+  d.has_next = head(&d.next, &is_begin);
+  return d;
+}
+
+void ArrivalLane::schedule_end(std::uint32_t item, std::uint64_t key) {
+  Item& it = items_[item];
+  it.key = key;
+  it.end_seq = channel_.sim_.reserve_seqs(1);
+  ++open_ends_;
+  channel_.sim_.lane_push(id_, end_key(item), 1);
+}
+
+void ArrivalLane::run(std::uint32_t token) {
+  WirelessChannel& ch = channel_;
+  if ((token & kEndBit) != 0) {
+    const Item& it = items_[token & ~kEndBit];
+    --open_ends_;
+    ch.radios_[it.rx]->end_arrival(it.key);
+  } else {
+    const std::uint32_t i = token;
+    begun_ = i + 1;
+    --ch.in_flight_;
+    WifiPhy* rx = ch.radios_[items_[i].rx];
+    // The receiver may have crashed during the propagation delay.
+    if (ch.fault_ != nullptr && !ch.fault_->node_up(rx->node_id())) {
+      ++ch.counters_.copies_dropped_fault;
+    } else {
+      ++ch.counters_.copies_delivered;
+      rx->begin_arrival(*this, i, *packet_, items_[i].dbm, items_[i].mw,
+                        duration_);
+    }
+    if (begun_ == items_.size()) packet_.reset();
+  }
+  if (begun_ == items_.size() && open_ends_ == 0) ch.recycle(*this);
+}
+
+void ArrivalLane::discard() {
+  channel_.in_flight_ -= items_.size() - begun_;
+  begun_ = next_begin_ = static_cast<std::uint32_t>(items_.size());
+  next_end_ = begun_;
+  open_ends_ = 0;
+  packet_.reset();
+  channel_.recycle(*this);
 }
 
 void WirelessChannel::refresh_ranges() {
@@ -167,6 +242,29 @@ void WirelessChannel::build_spatial_index() {
       SpatialIndex::cell_size_for(max_range, area_width_m_, area_height_m_);
   index_ = std::make_unique<SpatialIndex>(area_width_m_, area_height_m_, cell);
   for (const WifiPhy* phy : radios_) index_->add_node(phy->mobility());
+}
+
+// Reorder an all-memoised cache into (delay, attach) order — the order
+// its receivers' arrivals pop — so transmissions stage pre-sorted.
+void WirelessChannel::sort_by_arrival(NeighborCache& nc) {
+  const std::size_t n = nc.rx_index.size();
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&nc](std::uint32_t a, std::uint32_t b) {
+              if (nc.delay[a] != nc.delay[b]) return nc.delay[a] < nc.delay[b];
+              return nc.rx_index[a] < nc.rx_index[b];
+            });
+  const auto permute = [&order](auto& v) {
+    std::remove_reference_t<decltype(v)> out;
+    out.reserve(v.size());
+    for (const std::uint32_t i : order) out.push_back(v[i]);
+    v.swap(out);
+  };
+  permute(nc.rx_index);
+  permute(nc.power_dbm);
+  permute(nc.power_mw);
+  permute(nc.delay);
 }
 
 void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
@@ -226,6 +324,10 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
       ++nc.n_live;
     }
   }
+  // With a shard router the cache stays in attach order: posts to the
+  // router take their row sequence in staging order, and the merge
+  // breaks release ties by it.
+  if (nc.n_live == 0 && router_ == nullptr) sort_by_arrival(nc);
   nc.built_version = index_->version();
 }
 
@@ -244,19 +346,20 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   const std::size_t n = nc.rx_index.size();
 
   if (nc.n_live == 0) {
-    // Static mesh: every budget is memoised. Branch-free sweep over
-    // the SoA arrays; per candidate this is a packet copy, a slot and
-    // a scheduled event — no propagation math, no unit conversions.
+    // Static mesh: every budget is memoised and the cache is in arrival
+    // order. Branch-free sweep over the SoA arrays; per candidate this
+    // is one staged lane item — no propagation math, no unit
+    // conversions, no sort.
     for (std::size_t i = 0; i < n; ++i) {
-      schedule_delivery(radios_[nc.rx_index[i]], packet, nc.power_dbm[i],
-                        nc.power_mw[i], nc.delay[i], duration);
+      stage(nc.rx_index[i], packet, nc.power_dbm[i], nc.power_mw[i],
+            now + nc.delay[i], duration);
     }
     return;
   }
 
   // Mixed cache: batch the mobile candidates through the kernel, then
   // merge with the memoised ones in ascending attach order (the order
-  // the full scan visits, so tie-broken event order is identical).
+  // the full scan visits; launch() sorts the lane).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
@@ -268,21 +371,21 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
                              src.node_id(), batch_, eval_mode_);
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t rx = nc.rx_index[i];
     if (nc.is_cached[i] != 0) {
-      schedule_delivery(radios_[nc.rx_index[i]], packet, nc.power_dbm[i],
-                        nc.power_mw[i], nc.delay[i], duration);
+      stage(rx, packet, nc.power_dbm[i], nc.power_mw[i], now + nc.delay[i],
+            duration);
       continue;
     }
     const double p_dbm = batch_.power_dbm[cursor];
     const double dist = batch_.distance_m[cursor];
     ++cursor;
-    WifiPhy* rx = radios_[nc.rx_index[i]];
-    if (p_dbm < rx->config().detection_floor_dbm) {
+    if (p_dbm < radios_[rx]->config().detection_floor_dbm) {
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(rx, packet, p_dbm, dbm_to_mw(p_dbm),
-                      sim::Time::seconds(dist / kSpeedOfLight), duration);
+    stage(rx, packet, p_dbm, dbm_to_mw(p_dbm),
+          now + sim::Time::seconds(dist / kSpeedOfLight), duration);
   }
 }
 
@@ -324,15 +427,15 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
   LinkBudgetKernel::evaluate_with_distances(
       *propagation_, src.config().tx_power_dbm, tx_pos, src.node_id(), batch_);
   for (std::size_t i = 0; i < n; ++i) {
-    WifiPhy* rx = radios_[batch_.rx_index[i]];
+    const std::uint32_t rx = batch_.rx_index[i];
     const double p_dbm = batch_.power_dbm[i];
-    if (p_dbm < rx->config().detection_floor_dbm) {
+    if (p_dbm < radios_[rx]->config().detection_floor_dbm) {
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(rx, packet, p_dbm, dbm_to_mw(p_dbm),
-                      sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight),
-                      duration);
+    stage(rx, packet, p_dbm, dbm_to_mw(p_dbm),
+          now + sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight),
+          duration);
   }
 }
 
@@ -357,10 +460,10 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(
-        rx, packet, p_dbm, dbm_to_mw(p_dbm),
-        sim::Time::seconds(link_distance_m(tx_pos, rx_pos) / kSpeedOfLight),
-        duration);
+    stage(rx->channel_index(), packet, p_dbm, dbm_to_mw(p_dbm),
+          now + sim::Time::seconds(link_distance_m(tx_pos, rx_pos) /
+                                   kSpeedOfLight),
+          duration);
   }
 }
 
@@ -374,33 +477,39 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
   const sim::Time now = sim_.now();
   const mobility::Vec2 tx_pos = src.position(now);
 
-  // With a fault overlay installed both batched paths stand down: the
-  // overlay's per-receiver attribution must see every pair.
   if (fault_ != nullptr) {
+    // With a fault overlay installed both batched paths stand down: the
+    // overlay's per-receiver attribution must see every pair.
     transmit_fault_scan(src, packet, duration, now, tx_pos);
-    return;
+  } else {
+    if (!ranges_valid_) refresh_ranges();
+    if (index_enabled_) {
+      // Grid sizing needs the detection ranges, so refresh_ranges()
+      // must have run first.
+      if (index_ == nullptr) build_spatial_index();
+      transmit_indexed(src, packet, duration, now, tx_pos);
+    } else {
+      transmit_full_scan(src, packet, duration, now, tx_pos);
+    }
   }
-
-  if (!ranges_valid_) refresh_ranges();
-  if (index_enabled_) {
-    // Grid sizing needs the detection ranges, so refresh_ranges() must
-    // have run first.
-    if (index_ == nullptr) build_spatial_index();
-    transmit_indexed(src, packet, duration, now, tx_pos);
-    return;
-  }
-  transmit_full_scan(src, packet, duration, now, tx_pos);
+  launch(packet, duration);
 }
 
 std::size_t WirelessChannel::memory_bytes() const {
   std::size_t bytes = sizeof(*this) +
-                      pending_.capacity() * sizeof(PendingDelivery) +
+                      staged_.capacity() * sizeof(ArrivalLane::Item) +
+                      lanes_.capacity() * sizeof(std::unique_ptr<ArrivalLane>) +
+                      free_lanes_.capacity() * sizeof(ArrivalLane*) +
                       radios_.capacity() * sizeof(WifiPhy*) +
                       radio_range_m_.capacity() * sizeof(double) +
                       gather_scratch_.capacity() * sizeof(std::uint32_t) +
                       batch_.memory_bytes() + rebuild_batch_.memory_bytes() +
                       neighbor_caches_.capacity() * sizeof(NeighborCache);
   for (const NeighborCache& nc : neighbor_caches_) bytes += nc.memory_bytes();
+  for (const auto& lane : lanes_) {
+    bytes += sizeof(ArrivalLane) +
+             lane->items_.capacity() * sizeof(ArrivalLane::Item);
+  }
   if (index_ != nullptr) bytes += index_->memory_bytes();
   return bytes;
 }

@@ -7,11 +7,17 @@
 // arrival is a decodable frame, carrier-sense energy, or interference
 // is the *receiving* radio's business (see WifiPhy).
 //
-// In-flight copies are parked in a free-listed slot pool rather than
-// captured inside the scheduled event: the event captures only (this,
-// slot index), which keeps it inside EventFn's inline buffer — a packet
-// capture would not fit, by design — and reuses delivery storage
-// instead of allocating per receiver.
+// Arrival lanes: each transmission's copies ride ONE calendar entry (a
+// sim::Lane, see sim/scheduler.hpp) instead of one event per receiver
+// for the arrival's begin and another for its end. The ArrivalLane
+// holds the receivers sorted by (arrival time, attach order) and the
+// block of sequence numbers the per-receiver events would have drawn;
+// each receiver's end_arrival is handed back to the same lane by
+// WifiPhy::begin_arrival, with a sequence number reserved at the point
+// the radio used to schedule it. Pop order is therefore exactly the
+// per-event order (DESIGN.md §3c, "Arrival lanes"). Lanes are pooled
+// and reused, so steady-state fan-out allocates nothing; the one
+// packet copy a lane keeps is shared by all its receivers.
 //
 // Broadcast fan-out cost: all candidate-link math runs through the
 // phy::LinkBudgetKernel over reusable SoA buffers (one batched
@@ -56,6 +62,62 @@
 namespace wmn::phy {
 
 class ShardRouter;
+class WirelessChannel;
+
+// One transmission's copies in flight, as one calendar lane. Element i
+// is receiver i's arrival begin, keyed (at_i, first_seq + i); once it
+// ran, the same item can carry the arrival's end, keyed (at_i +
+// duration, end_seq_i). Begins are sorted and ends are pushed in begin
+// order with ascending sequence numbers, so both runs are monotone and
+// the lane hands out whichever head is earlier.
+class ArrivalLane final : public sim::Lane {
+ public:
+  explicit ArrivalLane(WirelessChannel& channel) : channel_(channel) {}
+
+  // Called by WifiPhy::begin_arrival for `item` exactly where the radio
+  // schedules its end_arrival(`key`): reserves the end's sequence number
+  // now and queues the end in this lane.
+  void schedule_end(std::uint32_t item, std::uint64_t key);
+
+  Detached detach() override;
+  void run(std::uint32_t token) override;
+  void discard() override;
+
+ private:
+  friend class WirelessChannel;
+
+  // One receiver's copy. The powers serve its begin; end_seq and key,
+  // filled in when the begin runs, serve its end.
+  struct Item {
+    sim::Time at;                // arrival begins (propagation done)
+    double dbm;                  // received power
+    double mw;                   // the same, linear
+    std::uint32_t rx = 0;        // receiver's attach index
+    std::uint64_t end_seq = 0;   // its end event's seq; 0 = no end
+    std::uint64_t key = 0;       // receiver's arrival key for the end
+  };
+  static constexpr std::uint32_t kEndBit = 0x80000000u;
+
+  [[nodiscard]] Key begin_key(std::uint32_t i) const {
+    return Key{items_[i].at, first_seq_ + i};
+  }
+  [[nodiscard]] Key end_key(std::uint32_t i) const {
+    return Key{items_[i].at + duration_, items_[i].end_seq};
+  }
+  // Earliest pending element, if any; *is_begin tells which run.
+  bool head(Key* key, bool* is_begin);
+
+  WirelessChannel& channel_;
+  sim::LaneId id_{};
+  std::optional<net::Packet> packet_;  // shared by every receiver's copy
+  sim::Time duration_{};
+  std::uint64_t first_seq_ = 0;
+  std::vector<Item> items_;  // sorted by (at, rx)
+  std::uint32_t next_begin_ = 0;  // next begin to detach
+  std::uint32_t begun_ = 0;       // begins that have run
+  std::uint32_t next_end_ = 0;    // items before this have no end left
+  std::uint32_t open_ends_ = 0;   // ends queued but not yet run
+};
 
 class WirelessChannel {
  public:
@@ -64,6 +126,8 @@ class WirelessChannel {
 
   WirelessChannel(const WirelessChannel&) = delete;
   WirelessChannel& operator=(const WirelessChannel&) = delete;
+  // Unregisters the pooled lanes; the simulator must still be alive.
+  ~WirelessChannel();
 
   // Register a radio. The radio must outlive the channel's use of it.
   void attach(WifiPhy* phy);
@@ -77,14 +141,14 @@ class WirelessChannel {
   void attach_remote(WifiPhy* phy);
 
   // Install the cross-region router and this channel's region id. With
-  // a router installed, schedule_delivery() forwards any receiver
-  // homed elsewhere to the router instead of the local slot pool.
+  // a router installed, a transmission forwards any receiver homed
+  // elsewhere to the router instead of its own arrival lane.
   void set_shard_router(ShardRouter* router, std::uint32_t region_id);
 
-  // Router re-entry on the destination region: park a re-materialised
-  // cross-region copy and deliver it at `release_at` (>= the physical
-  // arrival; see DESIGN.md §3e). Runs on the coordinating thread at an
-  // epoch barrier, with every worker parked.
+  // Router re-entry on the destination region: a lane of one that
+  // delivers a re-materialised cross-region copy at `release_at` (>= the
+  // physical arrival; see DESIGN.md §3e). Runs on the coordinating
+  // thread at an epoch barrier, with every worker parked.
   void accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm, double p_mw,
                     sim::Time release_at, sim::Time duration);
 
@@ -119,32 +183,29 @@ class WirelessChannel {
   // the batch-vs-scalar equivalence tests pin exactly that.
   void set_link_eval_mode(LinkBudgetKernel::Mode mode) { eval_mode_ = mode; }
 
+  // Each copy this channel propagates ends in exactly one of delivered,
+  // dropped_floor or dropped_fault, or is still in flight: without a
+  // shard router, delivered + floor + fault + deliveries_in_flight() ==
+  // (N-1) * transmissions at every instant. (With one, copies handed to
+  // another region are counted by the region that delivers them.)
   struct Counters {
     std::uint64_t transmissions = 0;
-    std::uint64_t copies_delivered = 0;  // arrivals above detection floor
+    std::uint64_t copies_delivered = 0;  // reached a live receiver's radio
     std::uint64_t copies_dropped_floor = 0;
-    std::uint64_t copies_dropped_fault = 0;  // receiver crashed mid-window
+    std::uint64_t copies_dropped_fault = 0;  // receiver down at tx or arrival
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   // Copies currently propagating (diagnostics / tests).
   [[nodiscard]] std::size_t deliveries_in_flight() const { return in_flight_; }
 
-  // Dynamic footprint of the channel's own state (slot pool, SoA
+  // Dynamic footprint of the channel's own state (arrival lanes, SoA
   // caches, kernel batches, spatial index scratch) — feeds the
   // bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  struct PendingDelivery {
-    std::optional<net::Packet> packet;
-    WifiPhy* rx = nullptr;
-    double rx_power_dbm = 0.0;
-    double rx_power_mw = 0.0;
-    sim::Time duration{};
-    std::uint32_t next_free = kNilSlot;
-  };
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+  friend class ArrivalLane;
 
   // Per-source candidate list in SoA form, valid for one SpatialIndex
   // version, elements in ascending attach order. Memoised (pinned-
@@ -152,7 +213,9 @@ class WirelessChannel {
   // propagation delay, all computed once at rebuild through the same
   // kernel the live path uses. Live entries (a mobile endpoint) are
   // re-evaluated per transmission; n_live == 0 (the static-mesh common
-  // case) enables the branch-free fast loop.
+  // case) enables the branch-free fast loop, and such a cache is kept
+  // in (delay, attach) order instead — arrival order, so its
+  // transmissions fill their lanes already sorted.
   //
   // `culled` counts receivers provably below the detection floor for
   // this version (out of range, or a pinned pair whose exact cached
@@ -178,12 +241,16 @@ class WirelessChannel {
     }
   };
 
-  std::uint32_t acquire_slot();
-  void deliver(std::uint32_t slot);
-  void schedule_delivery(WifiPhy* rx, const net::Packet& packet, double p_dbm,
-                         double p_mw, sim::Time delay, sim::Time duration);
+  // Queue receiver `rx` (attach index) for the lane being filled, or
+  // post it to the shard router when it is homed in another region.
+  void stage(std::uint32_t rx, const net::Packet& packet, double p_dbm,
+             double p_mw, sim::Time at, sim::Time duration);
+  // Open one lane for everything staged (no-op when nothing is).
+  void launch(const net::Packet& packet, sim::Time duration);
+  void recycle(ArrivalLane& lane) { free_lanes_.push_back(&lane); }
   void refresh_ranges();
   void build_spatial_index();
+  static void sort_by_arrival(NeighborCache& nc);
   void rebuild_neighbor_cache(std::uint32_t src_index);
   void transmit_indexed(const WifiPhy& src, const net::Packet& packet,
                         sim::Time duration, sim::Time now,
@@ -201,8 +268,13 @@ class WirelessChannel {
   ShardRouter* router_ = nullptr;
   std::uint32_t region_id_ = 0;
   std::vector<WifiPhy*> radios_;
-  std::vector<PendingDelivery> pending_;
-  std::uint32_t free_head_ = kNilSlot;
+  // Arrival lanes, pooled: stable addresses (the simulator holds them)
+  // and registered once, for the channel's lifetime.
+  std::vector<std::unique_ptr<ArrivalLane>> lanes_;
+  std::vector<ArrivalLane*> free_lanes_;
+  // The next lane's items, staged in attach order; launch() sorts them
+  // and swaps the buffer into the lane. Empty between transmissions.
+  std::vector<ArrivalLane::Item> staged_;
   std::size_t in_flight_ = 0;
   Counters counters_;
   LinkBudgetKernel::Mode eval_mode_ = LinkBudgetKernel::Mode::kAuto;

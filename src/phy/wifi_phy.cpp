@@ -92,7 +92,8 @@ void WifiPhy::finish_tx() {
   if (listener_ != nullptr) listener_->on_tx_end();
 }
 
-void WifiPhy::begin_arrival(net::Packet packet, double rx_power_dbm,
+void WifiPhy::begin_arrival(ArrivalLane& lane, std::uint32_t item,
+                            net::Packet packet, double rx_power_dbm,
                             double rx_power_mw, sim::Time duration) {
   if (!up_) {
     // Crashed mid-window: energy that was already in flight when the
@@ -132,7 +133,7 @@ void WifiPhy::begin_arrival(net::Packet packet, double rx_power_dbm,
     }
   }
 
-  sim_.schedule(duration, [this, key] { end_arrival(key); });
+  lane.schedule_end(item, key);
   refresh_cca();
 }
 

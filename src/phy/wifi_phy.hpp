@@ -26,6 +26,7 @@
 
 namespace wmn::phy {
 
+class ArrivalLane;
 class WirelessChannel;
 
 struct PhyConfig {
@@ -104,13 +105,18 @@ class WifiPhy {
   [[nodiscard]] bool is_up() const { return up_; }
 
   // --- channel-facing API ----------------------------------------------
-  // An energy arrival begins at this radio (called by the channel after
-  // propagation delay). `rx_power_dbm` is already path-loss adjusted;
-  // `rx_power_mw` is the same power in linear units — the channel
-  // memoises the dBm->mW conversion per cached link, so the radio's
-  // hot path never calls pow().
-  void begin_arrival(net::Packet packet, double rx_power_dbm,
-                     double rx_power_mw, sim::Time duration);
+  // An energy arrival begins at this radio: item `item` of the
+  // channel's arrival lane `lane`, run after the propagation delay.
+  // `rx_power_dbm` is already path-loss adjusted; `rx_power_mw` is the
+  // same power in linear units — the channel memoises the dBm->mW
+  // conversion per cached link, so the radio's hot path never calls
+  // pow(). The arrival's end rides the same lane: begin_arrival hands
+  // it back through lane.schedule_end() where a radio would schedule
+  // its own end event, and the lane later calls end_arrival(key).
+  void begin_arrival(ArrivalLane& lane, std::uint32_t item, net::Packet packet,
+                     double rx_power_dbm, double rx_power_mw,
+                     sim::Time duration);
+  void end_arrival(std::uint64_t key);
 
   [[nodiscard]] mobility::Vec2 position(sim::Time now) const {
     return mobility_->position(now);
@@ -179,7 +185,6 @@ class WifiPhy {
     sim::Time end;
   };
 
-  void end_arrival(std::uint64_t key);
   void finish_tx();
   // Sum of arrival power excluding the given key (linear mW).
   [[nodiscard]] double interference_mw(std::uint64_t except_key) const;

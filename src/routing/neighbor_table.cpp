@@ -32,6 +32,7 @@ void NeighborTable::heard(net::Address addr, std::uint32_t seqno,
   n.last_seqno = seqno;
   n.load_index = load_index;
   n.degree = degree;
+  mean_load_valid_ = false;
 }
 
 void NeighborTable::refresh(net::Address addr) {
@@ -61,7 +62,12 @@ std::vector<NeighborInfo> NeighborTable::snapshot() const {
 }
 
 double NeighborTable::mean_neighbor_load() const {
-  if (neighbors_.empty()) return 0.0;
+  if (mean_load_valid_) return mean_load_;
+  mean_load_valid_ = true;
+  if (neighbors_.empty()) {
+    mean_load_ = 0.0;
+    return mean_load_;
+  }
   double sum = 0.0;
   // Commutative-by-construction for the determinism contract: this is
   // a load-index sum whose operands come from one node's serial event
@@ -72,12 +78,14 @@ double NeighborTable::mean_neighbor_load() const {
   // shard count).
   // NOLINTNEXTLINE(wmn-unordered-iteration)
   for (const auto& [addr, info] : neighbors_) sum += info.load_index;
-  return sum / static_cast<double>(neighbors_.size());
+  mean_load_ = sum / static_cast<double>(neighbors_.size());
+  return mean_load_;
 }
 
 void NeighborTable::pause() {
   sim_.cancel(sweep_timer_);
   neighbors_.clear();
+  mean_load_valid_ = false;
 }
 
 void NeighborTable::resume() {
@@ -96,6 +104,7 @@ void NeighborTable::sweep() {
     if (it->second.last_heard + lifetime_ <= now) {
       lost.push_back(it->first);
       it = neighbors_.erase(it);
+      mean_load_valid_ = false;
     } else {
       WMN_CHECK_LE(it->second.last_heard, now,
                    "surviving neighbour heard in the future");

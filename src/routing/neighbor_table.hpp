@@ -57,6 +57,10 @@ class NeighborTable {
   [[nodiscard]] std::vector<NeighborInfo> snapshot() const;
 
   // Mean advertised load of current neighbours (0 when alone).
+  // Memoised: the value is a pure function of the map state, so it is
+  // recomputed (same visit order, same rounding) only after heard(),
+  // an expiry or pause() changed that state; refresh() touches only
+  // liveness and keeps it.
   [[nodiscard]] double mean_neighbor_load() const;
 
   // Called when a neighbour expires from the table.
@@ -84,6 +88,8 @@ class NeighborTable {
   std::unordered_map<net::Address, NeighborInfo> neighbors_;
   LossCallback loss_cb_;
   sim::EventId sweep_timer_{};
+  mutable double mean_load_ = 0.0;
+  mutable bool mean_load_valid_ = false;
 };
 
 }  // namespace wmn::routing

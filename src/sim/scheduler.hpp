@@ -17,6 +17,20 @@
 // index plus one integer compare. Together with the allocation-free
 // EventFn this makes schedule/cancel/pop malloc-free after the slab and
 // heap reach steady-state size.
+//
+// Arrival lanes: one heap entry can stand for a whole monotone run of
+// logical events owned by a client (sim::Lane). The entry is keyed by
+// the run's head element's exact (time, seq); pop() hands the head
+// out as one event, re-keys the entry to the next element and sifts it
+// down. Each lane element therefore still runs as one event, counts in
+// size() until it pops, and is ordered against every other event by
+// the same (time, seq) total order — a lane changes how many heap
+// entries the calendar holds, never the pop sequence. The client draws
+// its elements' sequence numbers from reserve_seqs() at exactly the
+// points where it would have called schedule(), so sequence numbers,
+// total_scheduled() and tie-breaks are those of the per-event
+// schedule. The wireless channel uses one lane per transmission (see
+// phy/channel.hpp and DESIGN.md §3c).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +42,48 @@
 #include "sim/time.hpp"
 
 namespace wmn::sim {
+
+// Client side of an arrival lane. The client keeps the elements; the
+// scheduler keeps one heap entry keyed by the lane's head and asks the
+// lane for the next key whenever it pops one. Contract: the elements a
+// lane hands out are in ascending (time, seq) order, including any
+// element pushed (Scheduler::lane_push) while one of its elements runs.
+class Lane {
+ public:
+  // An element's exact calendar key: the (time, seq) an ordinary
+  // schedule() call at the same point would have produced.
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+  };
+  struct Detached {
+    std::uint32_t token;  // names the detached element for run()
+    bool has_next;        // another element is pending in this lane
+    Key next;             // its key, when has_next
+  };
+
+  // Remove the head element from the lane; it executes when the popped
+  // event calls run(token). Called by Scheduler::pop() only.
+  virtual Detached detach() = 0;
+  virtual void run(std::uint32_t token) = 0;
+  // Drop every pending element (Scheduler::clear()).
+  virtual void discard() = 0;
+
+ protected:
+  // The scheduler holds a lane by address: lanes neither copy nor move,
+  // and are never deleted through a Lane*.
+  Lane() = default;
+  ~Lane() = default;
+
+ public:
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+};
+
+// Registration handle of a lane (Scheduler::add_lane).
+struct LaneId {
+  std::uint32_t index = 0;
+};
 
 class Scheduler {
  public:
@@ -63,15 +119,39 @@ class Scheduler {
   // Compacts stale heap tops as a side effect.
   [[nodiscard]] Time next_time();
 
-  // Remove and return the next live event. Precondition: !empty().
+  // Remove and return the next live event (a lane element counts as
+  // one). Precondition: !empty().
   struct Fired {
     Time at;
+    std::uint64_t seq;
     EventFn fn;
   };
   Fired pop();
 
-  // Drop everything (used when a run is aborted).
+  // Drop everything (used when a run is aborted). Lanes stay
+  // registered; each one holding elements is told to discard() them.
   void clear();
+
+  // --- arrival lanes ---------------------------------------------------
+  // Register a lane; the scheduler keeps the pointer until remove_lane.
+  // A lane must be removed before it is destroyed.
+  LaneId add_lane(Lane* lane);
+
+  // Unregister a lane, dropping its pending elements from size().
+  void remove_lane(LaneId id);
+
+  // Reserve `n` consecutive sequence numbers and return the first (an
+  // element's seq; n ordinary schedule() calls would have drawn them).
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_ + 1;
+    next_seq_ += n;
+    return first;
+  }
+
+  // Announce `count` new pending elements in lane `id`, the earliest of
+  // which has key `head`. A head earlier than the lane's current key
+  // re-keys the lane; a later one is handed out in turn by detach().
+  void lane_push(LaneId id, Lane::Key head, std::uint32_t count);
 
   // Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_; }
@@ -88,6 +168,7 @@ class Scheduler {
     std::uint32_t next_free = kNilSlot;
   };
 
+  // `slot` indexes slots_, or — with kLaneBit set — lanes_.
   struct Entry {
     Time at;
     std::uint64_t seq;
@@ -95,7 +176,19 @@ class Scheduler {
     std::uint32_t gen;
   };
 
+  // A registered lane. At most one of its heap entries is live (the
+  // one carrying `gen`); a re-key bumps gen and pushes a fresh entry.
+  struct LaneRec {
+    Lane* lane = nullptr;
+    Lane::Key key{};            // key of the live heap entry
+    std::uint32_t gen = 1;
+    std::uint32_t pending = 0;  // logical events the lane still holds
+    bool in_heap = false;
+    std::uint32_t next_free = kNilSlot;
+  };
+
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kLaneBit = 0x80000000u;
   static constexpr std::size_t kArity = 4;  // children per heap node
 
   // EventId layout: high 32 bits generation, low 32 bits slot + 1 (so
@@ -116,7 +209,15 @@ class Scheduler {
     return a.seq > b.seq;
   }
 
+  static bool earlier(const Lane::Key& a, const Lane::Key& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
+
   [[nodiscard]] bool stale(const Entry& e) const {
+    if ((e.slot & kLaneBit) != 0) {
+      return lanes_[e.slot & ~kLaneBit].gen != e.gen;
+    }
     return slots_[e.slot].gen != e.gen;
   }
 
@@ -125,10 +226,14 @@ class Scheduler {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void drop_dead_top();
+  void remove_top();
+  Fired pop_lane(const Entry& top);
 
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
+  std::vector<LaneRec> lanes_;
   std::uint32_t free_head_ = kNilSlot;
+  std::uint32_t free_lane_ = kNilSlot;
   std::size_t live_count_ = 0;
   std::uint64_t next_seq_ = 0;
 };
@@ -142,7 +247,7 @@ inline std::uint32_t Scheduler::acquire_slot() {
     slots_[slot].next_free = kNilSlot;
     return slot;
   }
-  WMN_CHECK(slots_.size() < kNilSlot, "scheduler slot slab exhausted");
+  WMN_CHECK(slots_.size() < kLaneBit, "scheduler slot slab exhausted");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -187,12 +292,14 @@ inline void Scheduler::sift_down(std::size_t i) {
   heap_[i] = e;
 }
 
+inline void Scheduler::remove_top() {
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+}
+
 inline void Scheduler::drop_dead_top() {
-  while (!heap_.empty() && stale(heap_[0])) {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
+  while (!heap_.empty() && stale(heap_[0])) remove_top();
 }
 
 template <typename F>
@@ -213,15 +320,55 @@ inline Time Scheduler::next_time() {
   return heap_.empty() ? Time::max() : heap_[0].at;
 }
 
+inline void Scheduler::lane_push(LaneId id, Lane::Key head,
+                                 std::uint32_t count) {
+  WMN_CHECK(!head.at.is_negative(), "events cannot be scheduled before t=0");
+  LaneRec& r = lanes_[id.index];
+  if (count == 0) return;
+  r.pending += count;
+  live_count_ += count;
+  if (r.in_heap) {
+    if (!earlier(head, r.key)) return;  // detach() reaches it in turn
+    ++r.gen;                            // re-key: the old entry goes stale
+  }
+  r.in_heap = true;
+  r.key = head;
+  heap_.push_back(Entry{head.at, head.seq, id.index | kLaneBit, r.gen});
+  sift_up(heap_.size() - 1);
+}
+
+// A lane element pops like an event: the entry is re-keyed in place to
+// the lane's next element (keys only grow, so a sift-down restores the
+// heap) or leaves the heap when the lane runs dry.
+inline Scheduler::Fired Scheduler::pop_lane(const Entry& top) {
+  LaneRec& r = lanes_[top.slot & ~kLaneBit];
+  Lane* lane = r.lane;
+  const Lane::Detached d = lane->detach();
+  --r.pending;
+  --live_count_;
+  if (d.has_next) {
+    r.key = d.next;
+    heap_[0].at = d.next.at;
+    heap_[0].seq = d.next.seq;
+    sift_down(0);
+  } else {
+    WMN_CHECK_EQ(r.pending, std::uint32_t{0},
+                 "lane ran dry with elements pending");
+    r.in_heap = false;
+    remove_top();
+  }
+  return Fired{top.at, top.seq,
+               [lane, token = d.token] { lane->run(token); }};
+}
+
 inline Scheduler::Fired Scheduler::pop() {
   drop_dead_top();
   WMN_CHECK(!heap_.empty(), "pop() on empty scheduler");
   const Entry top = heap_[0];
-  Fired out{top.at, std::move(slots_[top.slot].fn)};
+  if ((top.slot & kLaneBit) != 0) return pop_lane(top);
+  Fired out{top.at, top.seq, std::move(slots_[top.slot].fn)};
   release_slot(top.slot);
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  remove_top();
   return out;
 }
 

@@ -54,6 +54,22 @@ class Simulator {
   void cancel(EventId id) { calendar_.cancel(id); }
   [[nodiscard]] bool pending(EventId id) const { return calendar_.pending(id); }
 
+  // --- arrival lanes (see sim/scheduler.hpp) ----------------------------
+  // A lane's elements execute as ordinary events, one per pop, and
+  // count in events_executed() and events_pending() one by one.
+  LaneId add_lane(Lane* lane) { return calendar_.add_lane(lane); }
+  void remove_lane(LaneId id) { calendar_.remove_lane(id); }
+  // Draw the sequence numbers `n` schedule() calls made now would get.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    return calendar_.reserve_seqs(n);
+  }
+  // Announce `count` new elements of lane `id`, the earliest keyed
+  // `head`; like schedule_at, a head in the past is a violation.
+  void lane_push(LaneId id, Lane::Key head, std::uint32_t count) {
+    WMN_CHECK_GE(head.at, now_, "cannot schedule in the past");
+    calendar_.lane_push(id, head, count);
+  }
+
   // --- supervision ----------------------------------------------------
   // Why a run loop ended early, beyond an explicit stop().
   enum class AbortReason : std::uint8_t {

@@ -174,6 +174,50 @@ TEST(FaultInjector, DownedSourceTransmitCountsNothing) {
   tb.sim.run_until(sim::Time::seconds(3.0));
 }
 
+// Every copy a transmission puts on the air ends in exactly one of the
+// channel's outcomes: delivered, floor drop, fault drop, or still in
+// flight. Checked at `now`, so a copy counted twice (or not at all)
+// shows up at the instant it happens.
+void expect_copy_ledger(const phy::WirelessChannel& channel,
+                        std::size_t nodes) {
+  const auto& c = channel.counters();
+  EXPECT_EQ(c.copies_delivered + c.copies_dropped_floor +
+                c.copies_dropped_fault + channel.deliveries_in_flight(),
+            (nodes - 1) * c.transmissions);
+}
+
+// Regression: a copy whose receiver crashes during the propagation
+// delay used to be counted as delivered (when it was sent) AND as a
+// fault drop (when it landed on the downed radio).
+TEST(FaultInjector, CopyLostInFlightCountsOnlyAsFaultDrop) {
+  FaultBed tb(line5());
+  const sim::Time t_tx = sim::Time::seconds(2.0);
+  // Node 1 sits 200 m out: its copy lands ~667 ns after t_tx, and the
+  // crash comes 300 ns after t_tx — mid-flight.
+  FaultPlan plan;
+  plan.outages.push_back(
+      {1, t_tx + sim::Time::nanos(300), sim::Time::seconds(3.0)});
+  tb.arm(std::move(plan));
+  phy::WirelessChannel::Counters before{};
+  tb.sim.schedule_at(t_tx, [&tb, &before] {
+    before = tb.channel.counters();
+    net::Packet p = tb.factory.make(64, tb.sim.now());
+    tb.channel.transmit(*tb.phys[0], p, tb.phys[0]->tx_duration(64));
+    expect_copy_ledger(tb.channel, 5);
+  });
+  tb.sim.schedule_at(t_tx + sim::Time::micros(10.0), [&tb, &before] {
+    const auto& after = tb.channel.counters();
+    ASSERT_EQ(after.transmissions, before.transmissions + 1);
+    EXPECT_EQ(after.copies_dropped_fault, before.copies_dropped_fault + 1);
+    EXPECT_EQ(after.copies_delivered + after.copies_dropped_floor,
+              before.copies_delivered + before.copies_dropped_floor + 3);
+    EXPECT_EQ(tb.channel.deliveries_in_flight(), 0u);
+    expect_copy_ledger(tb.channel, 5);
+  });
+  tb.sim.run_until(sim::Time::seconds(4.0));
+  expect_copy_ledger(tb.channel, 5);
+}
+
 // Satellite 1 regression: crashing routers *mid-discovery* — while
 // RREQ rebroadcast jitter timers, reply timers, and retry timers are
 // all pending — must cancel every per-agent event. Under ASan a stale
@@ -385,6 +429,39 @@ TEST(FaultScenario, ChurnSameSeedSameFingerprint) {
   EXPECT_GT(ma.fault_crashes, 0u);
   EXPECT_EQ(a.simulator().events_executed(), b.simulator().events_executed());
   EXPECT_EQ(exp::fingerprint(ma), exp::fingerprint(b.metrics()));
+}
+
+TEST(FaultScenario, ChurnKeepsTheCopyLedgerExact) {
+  exp::ScenarioConfig cfg = small_config(21);
+  cfg.fault.churn.rate_per_s = 0.5;
+  cfg.fault.churn.mean_downtime = sim::Time::seconds(2.0);
+  cfg.fault.churn.start = cfg.warmup;
+  cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
+  exp::Scenario s(cfg);
+  // Besides the stack's own traffic, inject a broadcast every 10 ms
+  // from a rotating node and probe the ledger 200 ns later — copies
+  // still in flight, some towards receivers the churn has downed — and
+  // again once they have all landed.
+  const sim::Time end = cfg.warmup + cfg.traffic_time;
+  std::size_t k = 0;
+  for (sim::Time t = cfg.warmup; t < end; t += sim::Time::millis(10.0), ++k) {
+    const std::size_t from = k % cfg.n_nodes;
+    s.simulator().schedule_at(t, [&s, from] {
+      net::Packet p = s.packet_factory().make(64, s.simulator().now());
+      phy::WifiPhy& src = s.node_phy(from);
+      s.channel().transmit(src, p, src.tx_duration(64));
+    });
+    for (const sim::Time probe :
+         {sim::Time::nanos(200), sim::Time::micros(20.0)}) {
+      s.simulator().schedule_at(t + probe, [&s, &cfg] {
+        expect_copy_ledger(s.channel(), cfg.n_nodes);
+      });
+    }
+  }
+  s.run();
+  EXPECT_GT(s.metrics().fault_crashes, 0u);
+  EXPECT_GT(s.channel().counters().copies_dropped_fault, 0u);
+  expect_copy_ledger(s.channel(), cfg.n_nodes);
 }
 
 TEST(FaultScenario, ChurnDifferentSeedDifferentFingerprint) {

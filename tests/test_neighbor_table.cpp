@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace wmn::routing {
 namespace {
 
@@ -83,6 +87,85 @@ TEST(NeighborTable, SnapshotListsAll) {
   t.heard(net::Address(2), 2, 0.2, 2);
   t.heard(net::Address(3), 3, 0.3, 3);
   EXPECT_EQ(t.snapshot().size(), 3u);
+}
+
+// A scripted table history: heard / refresh / pause / resume at fixed
+// times, with the sweep timer expiring neighbours in between.
+struct TableOp {
+  enum Kind { kHeard, kRefresh, kPause, kResume } kind;
+  sim::Time at;
+  std::uint32_t addr;
+  double load;
+};
+
+std::vector<TableOp> random_history(std::uint64_t seed) {
+  sim::RngStream rng(seed, 17);
+  std::vector<TableOp> ops;
+  sim::Time t = sim::Time::zero();
+  for (int i = 0; i < 120; ++i) {
+    t += sim::Time::millis(rng.uniform(20.0, 400.0));
+    const double u = rng.uniform01();
+    const auto addr = static_cast<std::uint32_t>(rng.index(12));
+    TableOp::Kind kind = TableOp::kHeard;
+    if (u > 0.97) {
+      kind = TableOp::kPause;
+    } else if (u > 0.92) {
+      kind = TableOp::kResume;
+    } else if (u > 0.6) {
+      kind = TableOp::kRefresh;
+    }
+    ops.push_back({kind, t, addr, rng.uniform(0.0, 3.0)});
+  }
+  return ops;
+}
+
+// Replays `ops` on a fresh table up to `until` and returns the mean
+// load there. With `query_each_op` the mean is also read after every
+// operation, so the memo is warm; without, the read at `until` is the
+// table's first — a fresh computation over the same map state.
+double mean_after(const std::vector<TableOp>& ops, sim::Time until,
+                  bool query_each_op) {
+  sim::Simulator s;
+  NeighborTable t(s, sim::Time::seconds(1.0), 2);
+  for (const TableOp& op : ops) {
+    if (op.at > until) break;
+    s.schedule_at(op.at, [&t, &op, query_each_op] {
+      switch (op.kind) {
+        case TableOp::kHeard:
+          t.heard(net::Address(op.addr), 1, op.load, 3);
+          break;
+        case TableOp::kRefresh:
+          t.refresh(net::Address(op.addr));
+          break;
+        case TableOp::kPause:
+          t.pause();
+          break;
+        case TableOp::kResume:
+          t.resume();
+          break;
+      }
+      if (query_each_op) static_cast<void>(t.mean_neighbor_load());
+    });
+  }
+  s.run_until(until);
+  return t.mean_neighbor_load();
+}
+
+TEST(NeighborTable, MeanLoadMemoEqualsFreshRecomputation) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<TableOp> ops = random_history(seed);
+    for (std::size_t k = 0; k < ops.size(); k += 3) {
+      // Between this op and the next the sweep may have expired
+      // entries too; check just after the op and just before the next.
+      const sim::Time at = ops[k].at;
+      const sim::Time before_next =
+          k + 1 < ops.size() ? ops[k + 1].at - sim::Time::nanos(1) : at;
+      for (const sim::Time until : {at, before_next}) {
+        EXPECT_EQ(mean_after(ops, until, true), mean_after(ops, until, false))
+            << "seed " << seed << " op " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "exp/failure.hpp"
 #include "exp/sweep.hpp"
 
 namespace wmn::exp {
@@ -35,6 +36,31 @@ TEST(Scenario, RunsAndDeliversTraffic) {
   EXPECT_GT(m.throughput_kbps, 0.0);
   EXPECT_GT(m.hello_tx, 0u);
   EXPECT_GT(m.control_tx, m.hello_tx);
+}
+
+// A run aborted by its event budget leaves arrival lanes in flight —
+// frames still on the air, their end_arrival elements queued in a
+// lane. Tearing the scenario down from there must unregister every lane
+// and release its packets (the ASan leg checks "cleanly"), on both
+// engines.
+TEST(Scenario, TeardownWithLanesInFlightIsClean) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    bool caught_in_flight = false;
+    for (std::uint64_t budget = 40000;
+         budget < 40000 + 50 * 997 && !caught_in_flight; budget += 997) {
+      ScenarioConfig cfg = small_config();
+      cfg.event_budget = budget;
+      cfg.intra_run_shards = shards;
+      Scenario s(cfg);
+      EXPECT_THROW(s.run(), RunAborted);
+      for (std::size_t i = 0; i < s.node_count(); ++i) {
+        if (s.node_phy(i).state() == phy::WifiPhy::State::kRx) {
+          caught_in_flight = true;
+        }
+      }
+    }
+    EXPECT_TRUE(caught_in_flight) << "shards " << shards;
+  }
 }
 
 TEST(Scenario, SameSeedIsBitReproducible) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/check.hpp"
+#include "lane_testing.hpp"
 #include "sim/cancel_token.hpp"
 
 namespace wmn::sim {
@@ -197,6 +198,73 @@ TEST(Simulator, CancelTokenStopsRunAtNextPoll) {
   // Cancelled during event 2; the poll fires at the top of the 4th
   // dispatch, so exactly 3 events ran.
   EXPECT_EQ(s.events_executed(), 3u);
+}
+
+// --- arrival lanes ------------------------------------------------------
+
+using SimLane = lane_testing::TestLane<Simulator>;
+
+// Six lane elements at t = 1..6 ns, interleaved with nothing else.
+void fill_lane(Simulator& s, SimLane& lane) {
+  const std::uint64_t first = s.reserve_seqs(6);
+  std::vector<std::pair<Lane::Key, std::uint32_t>> batch;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    batch.push_back({Lane::Key{Time::nanos(i + 1), first + i}, i});
+  }
+  lane.push(batch);
+}
+
+TEST(Simulator, LaneElementsCountAsEvents) {
+  Simulator s;
+  std::vector<std::uint32_t> ran;
+  SimLane lane(s, [&](std::uint32_t p) { ran.push_back(p); });
+  fill_lane(s, lane);
+  EXPECT_EQ(s.events_pending(), 6u);
+  s.run_until(Time::nanos(3));
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(s.events_pending(), 3u);
+  EXPECT_EQ(s.now(), Time::nanos(3));
+  s.run();
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(s.events_executed(), 6u);
+  EXPECT_EQ(s.events_pending(), 0u);
+}
+
+TEST(Simulator, EventBudgetTripsMidLane) {
+  Simulator s;
+  std::vector<std::uint32_t> ran;
+  SimLane lane(s, [&](std::uint32_t p) { ran.push_back(p); });
+  fill_lane(s, lane);
+  s.set_event_budget(4);
+  s.run();
+  EXPECT_EQ(s.abort_reason(), Simulator::AbortReason::kEventBudget);
+  EXPECT_EQ(s.events_executed(), 4u);
+  EXPECT_EQ(s.events_pending(), 2u);
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  // Lifting the budget resumes at the next element of the same lane.
+  s.set_event_budget(0);
+  s.run();
+  EXPECT_EQ(ran.size(), 6u);
+  EXPECT_EQ(s.abort_reason(), Simulator::AbortReason::kNone);
+}
+
+TEST(Simulator, CancelTokenTripsMidLane) {
+  Simulator s;
+  CancelToken token;
+  s.set_cancel_token(&token, /*poll_every=*/2);
+  std::vector<std::uint32_t> ran;
+  SimLane lane(s, [&](std::uint32_t p) {
+    ran.push_back(p);
+    if (p == 2) token.cancel();
+  });
+  fill_lane(s, lane);
+  s.run();
+  // Cancelled during the 3rd element; polls come at the top of every
+  // 2nd dispatch, so the 4th dispatch sees the flag and stops.
+  EXPECT_EQ(s.abort_reason(), Simulator::AbortReason::kCancelled);
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(s.events_pending(), 3u);
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(Simulator, CancelTokenNeverFlippedIsFree) {
