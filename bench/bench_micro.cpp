@@ -153,9 +153,10 @@ BENCHMARK(BM_PropagationShadowing);
 
 // Fault-overlay link-state lookup: the injector-side work Channel adds
 // per (transmission, receiver) pair when a FaultPlan is active. A
-// blackout-only plan needs no node hooks, so the hook vector can stay
-// null. Not part of the CI-pinned baseline subset — the gate protects
-// the faults-off hot path, which skips this code entirely.
+// blackout-only plan touches no node layer, so a record-only injector
+// (no hooks) serves. Not part of the CI-pinned baseline subset — the
+// gate protects the faults-off hot path, which skips this code
+// entirely.
 void BM_FaultOverlayLookup(benchmark::State& state) {
   const auto blackouts = static_cast<std::uint32_t>(state.range(0));
   sim::Simulator sim(1);
@@ -164,14 +165,13 @@ void BM_FaultOverlayLookup(benchmark::State& state) {
     plan.blackouts.push_back({i, i + 1, sim::Time::seconds(1.0),
                               sim::Time::seconds(100.0)});
   }
-  fault::Injector inj(sim, std::move(plan),
-                      std::vector<fault::NodeHooks>(blackouts + 1));
-  sim.run_until(sim::Time::seconds(2.0));  // all blackouts active
+  fault::Injector inj(sim, std::move(plan), std::size_t{blackouts} + 1);
+  const sim::Time now = sim::Time::seconds(2.0);
+  sim.run_until(now);  // all blackouts active
   std::uint32_t tx = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(inj.node_up(tx));
-    benchmark::DoNotOptimize(
-        inj.link_loss_db(tx, tx + 1, sim::Time::seconds(2.0)));
+    benchmark::DoNotOptimize(inj.node_up(tx, now));
+    benchmark::DoNotOptimize(inj.link_loss_db(tx, tx + 1, now));
     tx = tx < blackouts ? tx + 1 : 0;
   }
 }

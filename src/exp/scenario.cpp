@@ -43,14 +43,14 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
   build_traffic();
 
   if (!cfg_.fault.empty()) {
+    std::vector<fault::NodeHooks> hooks;
+    hooks.reserve(nodes_.size());
+    for (NodeStack& n : nodes_) {
+      hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
+    }
     if (sharded_) {
-      build_fault_timeline();
+      build_fault_timeline(hooks);
     } else {
-      std::vector<fault::NodeHooks> hooks;
-      hooks.reserve(nodes_.size());
-      for (NodeStack& n : nodes_) {
-        hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
-      }
       injector_ = std::make_unique<fault::Injector>(sim_, cfg_.fault,
                                                     std::move(hooks));
       channel_->set_fault_overlay(injector_.get());
@@ -160,42 +160,29 @@ void Scenario::build_sharded() {
   }
 }
 
-// Precompute the fault history (fault::FaultTimeline replays the
-// injector's state machine off-line) and wire it into every region:
-// overlay queries answer from the frozen windows, and the crash/rejoin
+// Precompute the fault history (fault::FaultTimeline runs a
+// record-only injector off-line) and wire it into every region: the
+// timeline is each region channel's overlay, and the crash/rejoin
 // choreography is scheduled onto each victim's home-region calendar.
-void Scenario::build_fault_timeline() {
+void Scenario::build_fault_timeline(
+    const std::vector<fault::NodeHooks>& hooks) {
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
   timeline_ = std::make_unique<fault::FaultTimeline>(cfg_.seed, cfg_.fault,
                                                      nodes_.size(), horizon);
-  overlays_.reserve(region_channels_.size());
-  for (std::uint32_t r = 0; r < region_channels_.size(); ++r) {
-    overlays_.push_back(std::make_unique<fault::TimelineOverlay>(
-        *timeline_, sharded_->region(r)));
-    region_channels_[r]->set_fault_overlay(overlays_.back().get());
+  for (const auto& ch : region_channels_) {
+    ch->set_fault_overlay(timeline_.get());
   }
+  const fault::Injector& record = timeline_->record();
   for (const auto& rr : region_registries_) {
     rr->set_outage_query(
-        [this](sim::Time t) { return timeline_->in_fault_window(t); });
+        [&record](sim::Time t) { return record.in_fault_window(t); });
   }
-  for (const fault::FaultTimeline::NodeWindow& w : timeline_->node_windows()) {
+  for (const fault::Injector::Window& w : record.windows()) {
+    if (!w.node_outage) continue;
     sim::Simulator& s = node_sim(w.node);
-    phy::WifiPhy* phy = nodes_[w.node].phy.get();
-    mac::DcfMac* mac = nodes_[w.node].mac.get();
-    routing::AodvAgent* agent = nodes_[w.node].agent.get();
-    // Same choreography (and layer order) as fault::Injector.
-    s.schedule_at(w.down_at, [phy, mac, agent] {
-      agent->pause();
-      mac->power_down();
-      phy->set_up(false);
-    });
-    if (!w.open) {
-      s.schedule_at(w.up_at, [phy, mac, agent] {
-        phy->set_up(true);
-        mac->power_up();
-        agent->resume();
-      });
-    }
+    const fault::NodeHooks h = hooks[w.node];
+    s.schedule_at(w.start, [h] { h.crash(); });
+    if (!w.open) s.schedule_at(w.end, [h] { h.rejoin(); });
   }
 }
 
@@ -591,23 +578,15 @@ RunMetrics Scenario::metrics() const {
     m.sessions_rejected += s->sessions_rejected();
   }
 
-  if (injector_ != nullptr || timeline_ != nullptr) {
+  const fault::Injector* faults =
+      timeline_ ? &timeline_->record() : injector_.get();
+  if (faults != nullptr) {
     m.fault_enabled = true;
-    if (injector_) {
-      const auto& fc = injector_->counters();
-      m.fault_crashes = fc.crashes;
-      m.fault_rejoins = fc.rejoins;
-      m.fault_blackouts = fc.blackouts;
-      m.fault_downtime_s =
-          injector_->total_node_downtime(sim_.now()).to_seconds();
-    } else {
-      const auto& fc = timeline_->counters();
-      m.fault_crashes = fc.crashes;
-      m.fault_rejoins = fc.rejoins;
-      m.fault_blackouts = fc.blackouts;
-      m.fault_downtime_s =
-          timeline_->total_node_downtime(engine_now()).to_seconds();
-    }
+    const auto& fc = faults->counters();
+    m.fault_crashes = fc.crashes;
+    m.fault_rejoins = fc.rejoins;
+    m.fault_blackouts = fc.blackouts;
+    m.fault_downtime_s = faults->total_node_downtime(engine_now()).to_seconds();
 
     m.sent_during_outage = registry_.sent_during_outage();
     m.delivered_during_outage = registry_.delivered_during_outage();

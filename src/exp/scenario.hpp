@@ -210,10 +210,6 @@ class Scenario {
   [[nodiscard]] const fault::Injector* injector() const {
     return injector_.get();
   }
-  // Null except in sharded runs with a non-empty FaultPlan.
-  [[nodiscard]] const fault::FaultTimeline* fault_timeline() const {
-    return timeline_.get();
-  }
   // Factory for injecting extra (unmeasured) traffic into the mesh.
   [[nodiscard]] net::PacketFactory& packet_factory() { return factory_; }
 
@@ -250,7 +246,7 @@ class Scenario {
   void build_sharded();
   void build_nodes();
   void build_traffic();
-  void build_fault_timeline();
+  void build_fault_timeline(const std::vector<fault::NodeHooks>& hooks);
   [[nodiscard]] std::unique_ptr<phy::PropagationModel> make_propagation() const;
   // The engine a node's components are scheduled on / allocate from /
   // report to: its home region's in sharded mode, the classic
@@ -283,7 +279,6 @@ class Scenario {
   std::vector<std::unique_ptr<phy::WirelessChannel>> region_channels_;
   std::unique_ptr<phy::ShardRouter> router_;
   std::unique_ptr<fault::FaultTimeline> timeline_;
-  std::vector<std::unique_ptr<fault::TimelineOverlay>> overlays_;
   std::unique_ptr<fault::Injector> injector_;
   traffic::FlowRegistry registry_;
   std::vector<traffic::NodePair> flow_pairs_;

@@ -1,133 +1,23 @@
 #include "fault/fault_timeline.hpp"
 
-#include <algorithm>
-
-#include "core/check.hpp"
-#include "fault/injector.hpp"
-#include "sim/rng.hpp"
-
 namespace wmn::fault {
-
-namespace {
-
-// A faithful copy of the Injector's crash/churn state machine, minus
-// the layer choreography and the blackout active-list (both derivable
-// from the plan alone). Draw-for-draw lockstep with injector.cpp is
-// the invariant: every edit there needs a mirror here, and the
-// equivalence test pins it.
-class Replayer {
- public:
-  Replayer(std::uint64_t master_seed, const FaultPlan& plan, std::size_t n_nodes,
-           std::vector<FaultTimeline::NodeWindow>& windows,
-           FaultTimeline::Counters& counters)
-      : sim_(master_seed),
-        plan_(plan),
-        windows_(windows),
-        counters_(counters),
-        down_(n_nodes, 0),
-        epoch_(n_nodes, 0),
-        open_window_(n_nodes, 0),
-        churn_rng_(sim_.make_stream(kFaultStreamSalt)) {}
-
-  void run(sim::Time horizon) {
-    const auto n = static_cast<std::uint32_t>(down_.size());
-    for (const NodeOutage& o : plan_.outages) {
-      WMN_CHECK(o.node < n, "outage for a node outside the topology");
-      WMN_CHECK(o.down_at < o.up_at, "outage window must have positive length");
-      const std::uint32_t node = o.node;
-      const sim::Time up_at = o.up_at;
-      sim_.schedule_at(o.down_at, [this, node, up_at] { crash(node, up_at); });
-    }
-    for (const LinkBlackout& b : plan_.blackouts) {
-      WMN_CHECK(b.a < n && b.b < n, "blackout for a node outside the topology");
-      WMN_CHECK(b.a != b.b, "blackout needs two distinct endpoints");
-      WMN_CHECK(b.from < b.to, "blackout window must have positive length");
-      WMN_CHECK_GE(b.attenuation_db, 0.0, "blackout attenuation must be >= 0");
-      ++counters_.blackouts;
-      // The injector's toggle events only maintain its live active
-      // list; the frozen timeline evaluates blackouts from the plan.
-    }
-    if (plan_.churn.enabled()) {
-      WMN_CHECK_GT(plan_.churn.mean_downtime.ns(), std::int64_t{0},
-                   "churn needs a positive mean downtime");
-      WMN_CHECK_GT(n, 0u, "churn needs at least one node");
-      schedule_next_churn();
-    }
-    sim_.run_until(horizon);
-  }
-
- private:
-  void crash(std::uint32_t node, sim::Time up_at) {
-    if (down_[node] != 0) return;
-    down_[node] = 1;
-    ++epoch_[node];
-    ++counters_.crashes;
-    open_window_[node] = windows_.size();
-    windows_.push_back(
-        FaultTimeline::NodeWindow{node, sim_.now(), sim::Time{}, true});
-    const std::uint64_t epoch = epoch_[node];
-    sim_.schedule_at(up_at, [this, node, epoch] { rejoin(node, epoch); });
-  }
-
-  void rejoin(std::uint32_t node, std::uint64_t epoch) {
-    if (down_[node] == 0 || epoch_[node] != epoch) return;
-    down_[node] = 0;
-    ++counters_.rejoins;
-    FaultTimeline::NodeWindow& w = windows_[open_window_[node]];
-    WMN_CHECK(w.open, "rejoin closing the wrong window");
-    w.up_at = sim_.now();
-    w.open = false;
-  }
-
-  void schedule_next_churn() {
-    const double mean_gap_s = 1.0 / plan_.churn.rate_per_s;
-    const sim::Time base = std::max(sim_.now(), plan_.churn.start);
-    const sim::Time t =
-        base + sim::Time::seconds(churn_rng_.exponential(mean_gap_s));
-    if (t >= plan_.churn.stop) return;
-    sim_.schedule_at(t, [this] { churn_event(); });
-  }
-
-  void churn_event() {
-    const auto victim = static_cast<std::uint32_t>(
-        churn_rng_.uniform_u64(0, down_.size() - 1));
-    if (down_[victim] == 0) {
-      const double down_s = std::max(
-          0.1, churn_rng_.exponential(plan_.churn.mean_downtime.to_seconds()));
-      crash(victim, sim_.now() + sim::Time::seconds(down_s));
-    }
-    schedule_next_churn();
-  }
-
-  sim::Simulator sim_;
-  const FaultPlan& plan_;
-  std::vector<FaultTimeline::NodeWindow>& windows_;
-  FaultTimeline::Counters& counters_;
-  std::vector<std::uint8_t> down_;
-  std::vector<std::uint64_t> epoch_;
-  std::vector<std::size_t> open_window_;
-  sim::RngStream churn_rng_;
-};
-
-}  // namespace
 
 FaultTimeline::FaultTimeline(std::uint64_t master_seed, const FaultPlan& plan,
                              std::size_t n_nodes, sim::Time horizon)
-    : blackouts_(plan.blackouts) {
-  Replayer replayer(master_seed, plan, n_nodes, node_windows_, counters_);
-  replayer.run(horizon);
-  by_node_.resize(n_nodes);
-  for (std::uint32_t i = 0; i < node_windows_.size(); ++i) {
-    by_node_[node_windows_[i].node].push_back(i);
+    : sim_(master_seed), record_(sim_, plan, n_nodes), by_node_(n_nodes) {
+  sim_.run_until(horizon);
+  const std::vector<Injector::Window>& windows = record_.windows();
+  for (std::uint32_t i = 0; i < windows.size(); ++i) {
+    if (windows[i].node_outage) by_node_[windows[i].node].push_back(i);
   }
 }
 
 bool FaultTimeline::node_up(std::uint32_t node, sim::Time now) const {
   if (node >= by_node_.size()) return true;
   for (const std::uint32_t wi : by_node_[node]) {
-    const NodeWindow& w = node_windows_[wi];
-    if (now < w.down_at) continue;
-    if (w.open || now < w.up_at) return false;
+    const Injector::Window& w = record_.windows()[wi];
+    if (now < w.start) continue;
+    if (w.open || now < w.end) return false;
   }
   return true;
 }
@@ -139,32 +29,13 @@ bool FaultTimeline::node_up(std::uint32_t node, sim::Time now) const {
 double FaultTimeline::link_loss_db(std::uint32_t tx, std::uint32_t rx,
                                    sim::Time now) const {
   double loss = 0.0;
-  for (const LinkBlackout& b : blackouts_) {
+  for (const LinkBlackout& b : record_.plan().blackouts) {
     if (now < b.from || now >= b.to) continue;
     const bool forward = b.a == tx && b.b == rx;
     const bool reverse = b.bidirectional && b.a == rx && b.b == tx;
     if (forward || reverse) loss += b.attenuation_db;
   }
   return loss;
-}
-
-bool FaultTimeline::in_fault_window(sim::Time t) const {
-  for (const NodeWindow& w : node_windows_) {
-    if (t < w.down_at) continue;
-    if (w.open || t < w.up_at) return true;
-  }
-  for (const LinkBlackout& b : blackouts_) {
-    if (t >= b.from && t < b.to) return true;
-  }
-  return false;
-}
-
-sim::Time FaultTimeline::total_node_downtime(sim::Time now) const {
-  sim::Time total{};
-  for (const NodeWindow& w : node_windows_) {
-    total += (w.open ? now : w.up_at) - w.down_at;
-  }
-  return total;
 }
 
 }  // namespace wmn::fault

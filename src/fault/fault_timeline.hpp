@@ -1,23 +1,20 @@
 // FaultTimeline: the fault::Injector's realized history, precomputed
-// for the sharded engine.
+// for the sharded engine, and that engine's phy::FaultOverlay.
 //
 // The Injector mutates per-node state from scheduled events on the one
 // simulation calendar — which a sharded run does not have: a region
 // thread consulting a shared injector mid-epoch would race another
-// region's crash event. But the injector's entire behaviour is a pure
-// function of (plan, master seed, node count): churn draws come from
-// one RNG stream consumed in event order *regardless of network state*
-// (a victim that is already down still consumes its draw — see
-// injector.cpp), and static outages/blackouts come verbatim from the
-// plan. So the whole fault history can be replayed up front — the
-// timeline runs a faithful copy of the injector state machine on a
-// throwaway calendar to the scenario horizon — and frozen into
-// immutable windows that every region thread reads without
-// synchronisation. tests/test_shard_map.cpp pins replay-vs-injector
-// equivalence.
+// region's crash event. But the injector's behaviour is a pure function
+// of (plan, master seed, node count) — see injector.hpp — so the
+// timeline runs a record-only Injector on its own throwaway calendar
+// to the scenario horizon, and every region thread then reads the
+// frozen record without synchronisation. tests/test_shard_map.cpp pins
+// the record against a live injector, window by window.
 //
-// The crash/rejoin choreography (pause/power_down/set_up...) is NOT
-// performed here: the scenario schedules it from node_windows() onto
+// As the overlay, it answers node_up(node, now) and link_loss_db(tx,
+// rx, now) from the frozen windows at the caller's region clock. The
+// crash/rejoin choreography is NOT performed here: the scenario
+// schedules NodeHooks::crash()/rejoin() from record().windows() onto
 // each victim's home-region calendar at construction time, which also
 // gives those events the earliest insertion sequence at their
 // timestamp — the same ordering the injector's ctor-scheduled events
@@ -28,30 +25,16 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "phy/fault_overlay.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace wmn::fault {
 
-class FaultTimeline {
+class FaultTimeline final : public phy::FaultOverlay {
  public:
-  // One realized node outage. `open` means no rejoin before the
-  // horizon (the node stays down to the end of the run).
-  struct NodeWindow {
-    std::uint32_t node = 0;
-    sim::Time down_at{};
-    sim::Time up_at{};
-    bool open = false;
-  };
-
-  struct Counters {
-    std::uint64_t crashes = 0;
-    std::uint64_t rejoins = 0;
-    std::uint64_t blackouts = 0;
-  };
-
-  // Replays `plan` for `n_nodes` nodes to `horizon` (the scenario end,
+  // Runs `plan` for `n_nodes` nodes to `horizon` (the scenario end,
   // inclusive — matching the serial run_until the injector lives in).
   FaultTimeline(std::uint64_t master_seed, const FaultPlan& plan,
                 std::size_t n_nodes, sim::Time horizon);
@@ -59,45 +42,19 @@ class FaultTimeline {
   FaultTimeline(const FaultTimeline&) = delete;
   FaultTimeline& operator=(const FaultTimeline&) = delete;
 
-  // --- queries (thread-safe: all state is frozen after construction) --
-  [[nodiscard]] bool node_up(std::uint32_t node, sim::Time now) const;
+  // --- phy::FaultOverlay (thread-safe: all state is frozen) ------------
+  [[nodiscard]] bool node_up(std::uint32_t node, sim::Time now) const override;
   [[nodiscard]] double link_loss_db(std::uint32_t tx, std::uint32_t rx,
-                                    sim::Time now) const;
-  [[nodiscard]] bool in_fault_window(sim::Time t) const;
-  [[nodiscard]] sim::Time total_node_downtime(sim::Time now) const;
+                                    sim::Time now) const override;
 
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] const std::vector<NodeWindow>& node_windows() const {
-    return node_windows_;
-  }
+  // The finished record-only run: windows, counters, downtime and
+  // in_fault_window, all read-only.
+  [[nodiscard]] const Injector& record() const { return record_; }
 
  private:
-  std::vector<NodeWindow> node_windows_;          // replay order
+  sim::Simulator sim_;  // the throwaway calendar record_ ran on
+  Injector record_;
   std::vector<std::vector<std::uint32_t>> by_node_;  // node -> window indices
-  std::vector<LinkBlackout> blackouts_;           // from the plan verbatim
-  Counters counters_;
-};
-
-// Adapter installed on one region's channel: a phy::FaultOverlay whose
-// "now" is that region's clock. The overlay interface has no time
-// parameter (the serial injector tracks state in real event time), so
-// each region gets its own adapter bound to its own simulator.
-class TimelineOverlay final : public phy::FaultOverlay {
- public:
-  TimelineOverlay(const FaultTimeline& timeline, const sim::Simulator& region_sim)
-      : timeline_(timeline), sim_(region_sim) {}
-
-  [[nodiscard]] bool node_up(std::uint32_t node) const override {
-    return timeline_.node_up(node, sim_.now());
-  }
-  [[nodiscard]] double link_loss_db(std::uint32_t tx, std::uint32_t rx,
-                                    sim::Time now) const override {
-    return timeline_.link_loss_db(tx, rx, now);
-  }
-
- private:
-  const FaultTimeline& timeline_;
-  const sim::Simulator& sim_;
 };
 
 }  // namespace wmn::fault

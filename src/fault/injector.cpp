@@ -7,16 +7,36 @@
 
 namespace wmn::fault {
 
+void NodeHooks::crash() const {
+  WMN_CHECK_NOTNULL(agent, "crash injection needs an agent hook");
+  WMN_CHECK_NOTNULL(mac, "crash injection needs a MAC hook");
+  WMN_CHECK_NOTNULL(phy, "crash injection needs a phy hook");
+  agent->pause();
+  mac->power_down();
+  phy->set_up(false);
+}
+
+void NodeHooks::rejoin() const {
+  phy->set_up(true);
+  mac->power_up();
+  agent->resume();
+}
+
 Injector::Injector(sim::Simulator& simulator, FaultPlan plan,
                    std::vector<NodeHooks> hooks)
+    : Injector(simulator, std::move(plan), hooks.size()) {
+  hooks_ = std::move(hooks);
+}
+
+Injector::Injector(sim::Simulator& simulator, FaultPlan plan,
+                   std::size_t n_nodes)
     : sim_(simulator),
       plan_(std::move(plan)),
-      hooks_(std::move(hooks)),
-      down_(hooks_.size(), 0),
-      epoch_(hooks_.size(), 0),
-      open_window_(hooks_.size(), 0),
+      down_(n_nodes, 0),
+      epoch_(n_nodes, 0),
+      open_window_(n_nodes, 0),
       churn_rng_(simulator.make_stream(kFaultStreamSalt)) {
-  const auto n = static_cast<std::uint32_t>(hooks_.size());
+  const auto n = static_cast<std::uint32_t>(n_nodes);
 
   for (const NodeOutage& o : plan_.outages) {
     WMN_CHECK(o.node < n, "outage for a node outside the topology");
@@ -90,22 +110,13 @@ void Injector::crash_node(std::uint32_t node, sim::Time up_at) {
   // Overlapping schedules (static outage vs. churn): whoever crashed
   // the node first owns it until its rejoin fires.
   if (down_[node] != 0) return;
-  const NodeHooks& h = hooks_[node];
-  WMN_CHECK_NOTNULL(h.agent, "crash injection needs an agent hook");
-  WMN_CHECK_NOTNULL(h.mac, "crash injection needs a MAC hook");
-  WMN_CHECK_NOTNULL(h.phy, "crash injection needs a phy hook");
 
   down_[node] = 1;
   ++epoch_[node];
   ++counters_.crashes;
   open_window_[node] = windows_.size();
-  windows_.push_back(Window{sim_.now(), sim::Time{}, true, true});
-
-  // Top-down: routing stops first so no lower layer can call back into
-  // a half-dead agent.
-  h.agent->pause();
-  h.mac->power_down();
-  h.phy->set_up(false);
+  windows_.push_back(Window{sim_.now(), sim::Time{}, true, true, node});
+  if (!hooks_.empty()) hooks_[node].crash();
 
   const std::uint64_t epoch = epoch_[node];
   sim_.schedule_at(up_at, [this, node, epoch] { rejoin_node(node, epoch); });
@@ -122,12 +133,7 @@ void Injector::rejoin_node(std::uint32_t node, std::uint64_t epoch) {
   WMN_CHECK(w.open && w.node_outage, "rejoin closing the wrong window");
   w.end = sim_.now();
   w.open = false;
-
-  // Bottom-up: each layer comes back onto a live substrate.
-  const NodeHooks& h = hooks_[node];
-  h.phy->set_up(true);
-  h.mac->power_up();
-  h.agent->resume();
+  if (!hooks_.empty()) hooks_[node].rejoin();
 }
 
 void Injector::schedule_next_churn() {

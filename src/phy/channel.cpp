@@ -190,7 +190,8 @@ void ArrivalLane::run(std::uint32_t token) {
     --ch.in_flight_;
     WifiPhy* rx = ch.radios_[items_[i].rx];
     // The receiver may have crashed during the propagation delay.
-    if (ch.fault_ != nullptr && !ch.fault_->node_up(rx->node_id())) {
+    if (ch.fault_ != nullptr &&
+        !ch.fault_->node_up(rx->node_id(), ch.sim_.now())) {
       ++ch.counters_.copies_dropped_fault;
     } else {
       ++ch.counters_.copies_delivered;
@@ -451,7 +452,7 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
     const mobility::Vec2 rx_pos = rx->position(now);
     double p_dbm = propagation_->rx_power_dbm(
         src.config().tx_power_dbm, tx_pos, rx_pos, src.node_id(), rx->node_id());
-    if (!fault_->node_up(rx->node_id())) {
+    if (!fault_->node_up(rx->node_id(), now)) {
       ++counters_.copies_dropped_fault;
       continue;
     }
@@ -472,9 +473,9 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
   // A crashed radio never reaches transmit() (WifiPhy::send checks up_),
   // but the belt is cheap and keeps the invariant local. The guard runs
   // before any counting: a downed source's send is not a transmission.
-  if (fault_ != nullptr && !fault_->node_up(src.node_id())) return;
-  ++counters_.transmissions;
   const sim::Time now = sim_.now();
+  if (fault_ != nullptr && !fault_->node_up(src.node_id(), now)) return;
+  ++counters_.transmissions;
   const mobility::Vec2 tx_pos = src.position(now);
 
   if (fault_ != nullptr) {

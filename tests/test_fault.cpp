@@ -138,6 +138,21 @@ TEST(FaultInjector, StaticOutageCrashesAndRejoins) {
   EXPECT_FALSE(tb.injector->in_fault_window(sim::Time::seconds(1.0)));
 }
 
+// Record-only injectors skip the choreography, but a hooked injector
+// must still refuse to crash a node whose hooks are missing (under the
+// default kAbort check policy).
+TEST(FaultInjectorDeathTest, HookedCrashWithNullHookAborts) {
+  FaultPlan plan;
+  plan.outages.push_back({0, sim::Time::seconds(1.0), sim::Time::seconds(2.0)});
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim(1);
+        Injector injector(sim, plan, std::vector<NodeHooks>(2));
+        sim.run_until(sim::Time::seconds(3.0));
+      },
+      "crash injection needs an agent hook");
+}
+
 TEST(FaultInjector, CrashedNodeDropsOfferedTraffic) {
   FaultBed tb(line5());
   FaultPlan plan;

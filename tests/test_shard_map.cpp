@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "core/protocols.hpp"
@@ -262,9 +264,23 @@ TEST(ShardedScenario, SameSeedSameFingerprintAfterDowngrade) {
 
 // --- FaultTimeline replay equivalence ---------------------------------
 
+// (node, down_at, up_at, open) of every realized node outage, in crash
+// order.
+std::vector<std::tuple<std::uint32_t, std::int64_t, std::int64_t, bool>>
+node_windows(const fault::Injector& injector) {
+  std::vector<std::tuple<std::uint32_t, std::int64_t, std::int64_t, bool>> out;
+  for (const fault::Injector::Window& w : injector.windows()) {
+    if (w.node_outage) {
+      out.emplace_back(w.node, w.start.ns(), w.end.ns(), w.open);
+    }
+  }
+  return out;
+}
+
 // The timeline claims to be the injector's realized history, frozen.
 // Run a classic (serial) scenario with churn + static outages + a
 // blackout, then replay the same plan with a FaultTimeline and compare
+// the per-node windows (which schedule the sharded choreography),
 // counters, downtime, and window membership instant by instant.
 TEST(FaultTimeline, ReplayMatchesInjector) {
   exp::ScenarioConfig cfg;
@@ -293,7 +309,10 @@ TEST(FaultTimeline, ReplayMatchesInjector) {
   ASSERT_NE(s.injector(), nullptr);
   const auto& live = *s.injector();
 
-  fault::FaultTimeline replay(cfg.seed, cfg.fault, cfg.n_nodes, horizon);
+  const fault::FaultTimeline timeline(cfg.seed, cfg.fault, cfg.n_nodes,
+                                      horizon);
+  const fault::Injector& replay = timeline.record();
+  EXPECT_EQ(node_windows(replay), node_windows(live));
   EXPECT_EQ(replay.counters().crashes, live.counters().crashes);
   EXPECT_EQ(replay.counters().rejoins, live.counters().rejoins);
   EXPECT_EQ(replay.counters().blackouts, live.counters().blackouts);
@@ -303,11 +322,17 @@ TEST(FaultTimeline, ReplayMatchesInjector) {
     const sim::Time at = sim::Time::seconds(t);
     EXPECT_EQ(replay.in_fault_window(at), live.in_fault_window(at)) << "t=" << t;
   }
+  // As the overlay, every live outage is down at its own start.
+  for (const fault::Injector::Window& w : live.windows()) {
+    if (w.node_outage) {
+      EXPECT_FALSE(timeline.node_up(w.node, w.start)) << "node " << w.node;
+    }
+  }
   // The static blackout is in the frozen windows too: the severed link
   // carries the plan's attenuation mid-window and none outside it.
-  EXPECT_EQ(replay.link_loss_db(1, 2, sim::Time::seconds(4.0)), 200.0);
-  EXPECT_EQ(replay.link_loss_db(2, 1, sim::Time::seconds(4.0)), 200.0);
-  EXPECT_EQ(replay.link_loss_db(1, 2, sim::Time::seconds(6.0)), 0.0);
+  EXPECT_EQ(timeline.link_loss_db(1, 2, sim::Time::seconds(4.0)), 200.0);
+  EXPECT_EQ(timeline.link_loss_db(2, 1, sim::Time::seconds(4.0)), 200.0);
+  EXPECT_EQ(timeline.link_loss_db(1, 2, sim::Time::seconds(6.0)), 0.0);
 }
 
 }  // namespace
