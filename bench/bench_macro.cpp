@@ -42,16 +42,22 @@ exp::ScenarioConfig reference_config(core::Protocol protocol) {
 void BM_Reference100Nodes6pps(benchmark::State& state) {
   const auto protocol = static_cast<core::Protocol>(state.range(0));
   std::uint64_t events = 0;
+  std::size_t bytes_per_node = 0;
   for (auto _ : state) {
     exp::Scenario s(reference_config(protocol));
     s.run();
     events += s.simulator().events_executed();
+    bytes_per_node = s.bytes_per_node();
   }
   state.SetLabel(core::protocol_name(protocol));
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["sim_events"] = benchmark::Counter(
       static_cast<double>(events) / static_cast<double>(state.iterations()));
+  // Gated by bench/perf_gate.py (higher = regression), like the
+  // 400-node point's.
+  state.counters["bytes_per_node"] =
+      benchmark::Counter(static_cast<double>(bytes_per_node));
 }
 BENCHMARK(BM_Reference100Nodes6pps)
     ->Arg(static_cast<int>(core::Protocol::kClnlr))

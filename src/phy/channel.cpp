@@ -195,8 +195,7 @@ void ArrivalLane::run(std::uint32_t token) {
       ++ch.counters_.copies_dropped_fault;
     } else {
       ++ch.counters_.copies_delivered;
-      rx->begin_arrival(*this, i, *packet_, items_[i].dbm, items_[i].mw,
-                        duration_);
+      rx->begin_arrival(*this, i, *packet_, items_[i].dbm, items_[i].mw);
     }
     if (begun_ == items_.size()) packet_.reset();
   }

@@ -38,6 +38,7 @@ void WifiPhy::set_up(bool up) {
     // powered down before the radio and must see no further callbacks.
     if (locked_) {
       locked_ = false;
+      locked_packet_.reset();
       counters_.rx_airtime += sim_.now() - locked_since_;
       if (state_ == State::kRx) state_ = State::kIdle;
     }
@@ -93,8 +94,8 @@ void WifiPhy::finish_tx() {
 }
 
 void WifiPhy::begin_arrival(ArrivalLane& lane, std::uint32_t item,
-                            net::Packet packet, double rx_power_dbm,
-                            double rx_power_mw, sim::Time duration) {
+                            const net::Packet& packet, double rx_power_dbm,
+                            double rx_power_mw) {
   if (!up_) {
     // Crashed mid-window: energy that was already in flight when the
     // channel-side fault check ran lands here and evaporates.
@@ -102,14 +103,14 @@ void WifiPhy::begin_arrival(ArrivalLane& lane, std::uint32_t item,
     return;
   }
   const std::uint64_t key = ++next_arrival_key_;
-  arrivals_.push_back(
-      Arrival{key, std::move(packet), rx_power_mw, sim_.now() + duration});
+  arrivals_.push_back(Arrival{key, rx_power_mw});
 
   const bool decodable = rx_power_dbm >= cfg_.rx_sensitivity_dbm;
   if (state_ == State::kIdle && !locked_ && decodable) {
     // Lock onto this frame.
     locked_ = true;
     locked_key_ = key;
+    locked_packet_.emplace(packet);
     locked_since_ = sim_.now();
     locked_power_mw_ = rx_power_mw;
     locked_power_dbm_ = rx_power_dbm;
@@ -143,10 +144,11 @@ void WifiPhy::end_arrival(std::uint64_t key) {
   WMN_CHECK(it != arrivals_.end(), "end_arrival for an unknown arrival key");
 
   const bool was_locked_frame = locked_ && key == locked_key_;
-  net::Packet packet = std::move(it->packet);
   arrivals_.erase(it);
 
   if (was_locked_frame) {
+    std::optional<net::Packet> packet = std::move(locked_packet_);
+    locked_packet_.reset();
     locked_ = false;
     counters_.rx_airtime += sim_.now() - locked_since_;
     state_ = State::kIdle;

@@ -113,9 +113,11 @@ class WifiPhy {
   // pow(). The arrival's end rides the same lane: begin_arrival hands
   // it back through lane.schedule_end() where a radio would schedule
   // its own end event, and the lane later calls end_arrival(key).
-  void begin_arrival(ArrivalLane& lane, std::uint32_t item, net::Packet packet,
-                     double rx_power_dbm, double rx_power_mw,
-                     sim::Time duration);
+  // `packet` is the lane's shared copy; the radio keeps its own copy
+  // only of the frame it locks onto — every other arrival is energy.
+  void begin_arrival(ArrivalLane& lane, std::uint32_t item,
+                     const net::Packet& packet, double rx_power_dbm,
+                     double rx_power_mw);
   void end_arrival(std::uint64_t key);
 
   [[nodiscard]] mobility::Vec2 position(sim::Time now) const {
@@ -156,7 +158,8 @@ class WifiPhy {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   // Dynamic footprint of this radio's state (arrival list) — feeds the
-  // bytes_per_node bench counter.
+  // bytes_per_node bench counter. The locked frame's packet shares the
+  // transmission's header nodes and is counted in sizeof(*this).
   [[nodiscard]] std::size_t memory_bytes() const {
     return sizeof(*this) + arrivals_.capacity() * sizeof(Arrival);
   }
@@ -178,12 +181,16 @@ class WifiPhy {
   }
 
  private:
+  // One energy arrival on the air at this radio. Interference and CCA
+  // need only its power; its end is the lane's business.
   struct Arrival {
     std::uint64_t key;
-    net::Packet packet;
     double power_mw;
-    sim::Time end;
   };
+  // Layout pin (LP64): one entry per overlapping arrival, ~146 receivers
+  // per transmission at the 400-node scale point.
+  static_assert(sizeof(void*) != 8 || sizeof(Arrival) == 16,
+                "WifiPhy::Arrival grew past 16 bytes");
 
   void finish_tx();
   // Sum of arrival power excluding the given key (linear mW).
@@ -211,6 +218,7 @@ class WifiPhy {
   // Reception lock.
   bool locked_ = false;
   std::uint64_t locked_key_ = 0;
+  std::optional<net::Packet> locked_packet_;  // set while locked_
   sim::Time locked_since_{};
   double locked_power_mw_ = 0.0;
   double locked_power_dbm_ = 0.0;  // as delivered; avoids log10 at decode

@@ -62,11 +62,7 @@ void AodvAgent::cancel_all_timers() {
   // Cancel is per-timer and idempotent; no event is scheduled or sent,
   // so the unordered visit order is unobservable.
   // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [key, rec] : rreq_cache_) {
-    sim_.cancel(rec.assess_timer);
-    sim_.cancel(rec.reply_timer);
-    sim_.cancel(rec.forward_timer);
-  }
+  for (auto& [key, rec] : rreq_cache_) sim_.cancel(rec.timer);
   // NOLINTNEXTLINE(wmn-unordered-iteration): same argument as above.
   for (auto& [dest, d] : discoveries_) sim_.cancel(d.timer);
 }
@@ -82,6 +78,7 @@ void AodvAgent::pause() {
   }
   buffers_.clear();
   rreq_cache_.clear();
+  rreq_pending_.clear();
   discoveries_.clear();
   routes_.clear();
   neighbors_.pause();
@@ -350,13 +347,17 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
     ++counters_.rreq_duplicates;
     RreqRecord& rec = it->second;
     ++rec.copies;
-    // A destination collecting copies considers this one too.
-    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.reply_timer)) {
+    // A destination collecting copies considers this one too. Every
+    // copy of a key names the same destination, so a destination's
+    // armed timer is always its reply wait.
+    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.timer)) {
+      auto best = rreq_pending_.find(key);
+      WMN_CHECK(best != rreq_pending_.end(),
+                "armed reply wait without a pending RREQ copy");
       const RouteCandidate cand{path_load, hdr.hop_count};
-      if (!rec.best || selection_->better(cand, *rec.best)) {
-        rec.best = cand;
-        rec.best_prev_hop = src;
-        rec.pending_forward = hdr;
+      if (selection_->better(cand, RouteCandidate{best->second.path_load,
+                                                  best->second.hdr.hop_count})) {
+        best->second = PendingRreq{hdr, path_load};
       }
     }
     return;
@@ -367,19 +368,16 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
   rec.first_seen = now();
 
   if (self_ == hdr.dest) {
-    const RouteCandidate cand{path_load, hdr.hop_count};
-    rec.best = cand;
-    rec.best_prev_hop = src;
-    rec.pending_forward = hdr;
     const sim::Time wait = selection_->reply_wait();
     if (wait.is_zero()) {
       rec.replied = true;
-      rreq_cache_.emplace(key, std::move(rec));
-      send_rrep_as_destination(hdr, cand);
+      rreq_cache_.emplace(key, rec);
+      send_rrep_as_destination(hdr, RouteCandidate{path_load, hdr.hop_count});
     } else {
-      rec.reply_timer =
+      rec.timer =
           sim_.schedule(wait, [this, key] { destination_reply_due(key); });
-      rreq_cache_.emplace(key, std::move(rec));
+      rreq_cache_.emplace(key, rec);
+      rreq_pending_.emplace(key, PendingRreq{hdr, path_load});
     }
     return;
   }
@@ -391,7 +389,7 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
         (hdr.unknown_dest_seqno ||
          seqno_newer_or_equal(r->dest_seqno, hdr.dest_seqno))) {
       rec.forward_decided = true;
-      rreq_cache_.emplace(key, std::move(rec));
+      rreq_cache_.emplace(key, rec);
       ++counters_.rrep_intermediate;
       send_rrep_from_cache(hdr, *r);
       return;
@@ -400,7 +398,7 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   if (hdr.ttl <= 1) {
     rec.forward_decided = true;
-    rreq_cache_.emplace(key, std::move(rec));
+    rreq_cache_.emplace(key, rec);
     return;
   }
 
@@ -415,47 +413,53 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
   switch (dec.action) {
     case RebroadcastAction::kForward: {
       rec.forward_decided = true;
-      auto [pos, inserted] = rreq_cache_.emplace(key, std::move(rec));
+      auto [pos, inserted] = rreq_cache_.emplace(key, rec);
       WMN_CHECK(inserted, "RREQ record already cached on first copy");
-      pos->second.forward_timer = sim_.schedule(
+      pos->second.timer = sim_.schedule(
           dec.delay, [this, hdr, path_load] { forward_rreq(hdr, path_load); });
       break;
     }
     case RebroadcastAction::kDrop:
       rec.forward_decided = true;
       ++counters_.rreq_suppressed;
-      rreq_cache_.emplace(key, std::move(rec));
+      rreq_cache_.emplace(key, rec);
       break;
     case RebroadcastAction::kDefer:
-      rec.pending_forward = hdr;
-      rec.pending_path_load = path_load;
-      rec.assess_timer =
-          sim_.schedule(dec.delay, [this, key] { finish_defer(key); });
-      rreq_cache_.emplace(key, std::move(rec));
+      rec.timer = sim_.schedule(dec.delay, [this, key] { finish_defer(key); });
+      rreq_cache_.emplace(key, rec);
+      rreq_pending_.emplace(key, PendingRreq{hdr, path_load});
       break;
   }
 }
 
+std::optional<AodvAgent::PendingRreq> AodvAgent::take_pending(RreqKey key) {
+  auto it = rreq_pending_.find(key);
+  if (it == rreq_pending_.end()) return std::nullopt;
+  const PendingRreq pending = it->second;
+  rreq_pending_.erase(it);
+  return pending;
+}
+
 void AodvAgent::finish_defer(RreqKey key) {
+  const std::optional<PendingRreq> pending = take_pending(key);
   auto it = rreq_cache_.find(key);
-  if (it == rreq_cache_.end()) return;
+  if (!pending || it == rreq_cache_.end()) return;
   RreqRecord& rec = it->second;
-  if (rec.forward_decided || !rec.pending_forward) return;
+  if (rec.forward_decided) return;
   rec.forward_decided = true;
 
   RebroadcastContext ctx;
-  ctx.hop_count = rec.pending_forward->hop_count;
+  ctx.hop_count = pending->hdr.hop_count;
   ctx.neighbor_count = neighbors_.count();
   ctx.own_load = load_->load_index();
   ctx.neighbourhood_load = neighbourhood_load();
   ctx.duplicates_seen = rec.copies - 1;
 
   if (rebroadcast_->assess(ctx, rng_)) {
-    forward_rreq(*rec.pending_forward, rec.pending_path_load);
+    forward_rreq(pending->hdr, pending->path_load);
   } else {
     ++counters_.rreq_suppressed;
   }
-  rec.pending_forward.reset();
 }
 
 void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
@@ -473,12 +477,14 @@ void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
 }
 
 void AodvAgent::destination_reply_due(RreqKey key) {
+  const std::optional<PendingRreq> best = take_pending(key);
   auto it = rreq_cache_.find(key);
-  if (it == rreq_cache_.end()) return;
+  if (!best || it == rreq_cache_.end()) return;
   RreqRecord& rec = it->second;
-  if (rec.replied || !rec.best || !rec.pending_forward) return;
+  if (rec.replied) return;
   rec.replied = true;
-  send_rrep_as_destination(*rec.pending_forward, *rec.best);
+  send_rrep_as_destination(best->hdr,
+                           RouteCandidate{best->path_load, best->hdr.hop_count});
 }
 
 void AodvAgent::send_rrep_as_destination(const RreqHeader& hdr,
@@ -974,10 +980,8 @@ void AodvAgent::housekeeping() {
   // NOLINTNEXTLINE(wmn-unordered-iteration)
   for (auto it = rreq_cache_.begin(); it != rreq_cache_.end();) {
     const RreqRecord& rec = it->second;
-    const bool timers_live = sim_.pending(rec.assess_timer) ||
-                             sim_.pending(rec.reply_timer) ||
-                             sim_.pending(rec.forward_timer);
-    if (!timers_live && rec.first_seen + cfg_.rreq_cache_timeout <= now()) {
+    if (!sim_.pending(rec.timer) &&
+        rec.first_seen + cfg_.rreq_cache_timeout <= now()) {
       it = rreq_cache_.erase(it);
     } else {
       ++it;
@@ -1056,6 +1060,7 @@ std::size_t AodvAgent::memory_bytes() const {
   bytes += routes_.memory_bytes() - sizeof(RouteTable);
   bytes += neighbors_.memory_bytes() - sizeof(NeighborTable);
   bytes += umap_bytes(rreq_cache_);
+  bytes += umap_bytes(rreq_pending_);
   bytes += umap_bytes(discoveries_);
   bytes += umap_bytes(buffers_);
   // NOLINTNEXTLINE(wmn-unordered-iteration) — pure accumulation

@@ -184,6 +184,12 @@ class AodvAgent {
   // bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
+  // RREQ copies held by open decision windows (kDefer assessments and
+  // destination reply waits); zero once every window has closed.
+  [[nodiscard]] std::size_t pending_rreqs() const {
+    return rreq_pending_.size();
+  }
+
  private:
   struct RreqKey {
     std::uint64_t v;
@@ -198,25 +204,32 @@ class AodvAgent {
     return RreqKey{(static_cast<std::uint64_t>(origin.value()) << 32) | id};
   }
 
-  // Per-RREQ bookkeeping: duplicate counting, deferred forwarding
-  // (counter policy), and destination-side copy collection.
+  // Per-RREQ duplicate-suppression record, held for rreq_cache_timeout.
+  // At most one timer is ever armed per record: the destination's reply
+  // wait, a kDefer assessment, or a kForward decision's jittered
+  // rebroadcast. It is tracked so teardown and crash injection can
+  // cancel it — an untracked event would fire into a destroyed or
+  // paused agent.
   struct RreqRecord {
     sim::Time first_seen{};
+    sim::EventId timer{};
     std::uint32_t copies = 1;
     bool forward_decided = false;
-    // Deferred forward (kDefer) state.
-    std::optional<RreqHeader> pending_forward;
-    double pending_path_load = 0.0;
-    sim::EventId assess_timer{};
-    // Destination-side selection state.
     bool replied = false;
-    std::optional<RouteCandidate> best;
-    net::Address best_prev_hop;  // where the best copy came from
-    sim::EventId reply_timer{};
-    // Jittered rebroadcast of a kForward decision. Tracked so teardown
-    // and crash injection can cancel it — an untracked forward event
-    // would fire into a destroyed or paused agent.
-    sim::EventId forward_timer{};
+  };
+  // Layout pin (LP64): the cache holds one record per RREQ heard in the
+  // last rreq_cache_timeout, the bulk of the agent's bytes_per_node.
+  static_assert(sizeof(void*) != 8 || sizeof(RreqRecord) <= 24,
+                "RreqRecord outgrew its 24-byte budget");
+
+  // The copy a decision window holds, kept in rreq_pending_ only while
+  // the record's kDefer or destination-reply timer is armed: the header
+  // to forward (kDefer) or the best copy so far (destination), with its
+  // accumulated path load. A destination's best candidate is
+  // {path_load, hdr.hop_count}.
+  struct PendingRreq {
+    RreqHeader hdr;
+    double path_load = 0.0;
   };
 
   struct Discovery {
@@ -258,6 +271,9 @@ class AodvAgent {
   void send_rrep_from_cache(const RreqHeader& hdr, const RouteEntry& route);
   void finish_defer(RreqKey key);
   void destination_reply_due(RreqKey key);
+  // Removes and returns the decision window's copy; the record's timer
+  // is firing, so the window is closed.
+  [[nodiscard]] std::optional<PendingRreq> take_pending(RreqKey key);
 
   // --- routes -----------------------------------------------------------
   // Update the route to `dest` from evidence (seqno, candidate, via).
@@ -317,6 +333,8 @@ class AodvAgent {
   std::uint32_t hello_seqno_ = 0;
 
   std::unordered_map<RreqKey, RreqRecord, RreqKeyHash> rreq_cache_;
+  // Open decision windows only (see PendingRreq); never iterated.
+  std::unordered_map<RreqKey, PendingRreq, RreqKeyHash> rreq_pending_;
   std::unordered_map<net::Address, Discovery> discoveries_;
   std::unordered_map<net::Address, std::deque<BufferedPacket>> buffers_;
 

@@ -27,6 +27,9 @@ struct NeighborInfo {
   std::uint32_t last_seqno = 0;
   std::uint16_t degree = 0;  // sender's advertised neighbour count
 };
+// Layout pin (LP64) for the packing claim above.
+static_assert(sizeof(void*) != 8 || sizeof(NeighborInfo) == 32,
+              "NeighborInfo layout no longer packs to 32 bytes");
 
 class NeighborTable {
  public:

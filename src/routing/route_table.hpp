@@ -35,6 +35,9 @@ struct RouteEntry {
   bool valid_seqno = false;
   RouteState state = RouteState::kValid;
 };
+// Layout pin (LP64) for the packing claim above.
+static_assert(sizeof(void*) != 8 || sizeof(RouteEntry) == 56,
+              "RouteEntry layout no longer packs to 56 bytes");
 
 class RouteTable {
  public:

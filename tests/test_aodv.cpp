@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
@@ -22,10 +24,22 @@ struct Delivery {
   net::Address at;
 };
 
+// Per-node policy wiring for RoutingBed; the defaults are the flood
+// baseline with first-arrival replies and zero load.
+struct Policies {
+  std::function<std::unique_ptr<RebroadcastPolicy>(std::size_t)> rebroadcast =
+      [](std::size_t) { return std::make_unique<FloodPolicy>(); };
+  std::function<std::unique_ptr<RouteSelectionPolicy>()> selection = [] {
+    return std::make_unique<FirstArrivalSelection>();
+  };
+  std::function<std::unique_ptr<LoadSource>(std::size_t)> load =
+      [](std::size_t) { return std::make_unique<ZeroLoadSource>(); };
+};
+
 // Full stacks (phy+mac+aodv) at fixed positions; default flood policy.
 struct RoutingBed {
   explicit RoutingBed(std::vector<Vec2> positions, AodvConfig cfg = {},
-                      std::uint64_t seed = 1)
+                      std::uint64_t seed = 1, const Policies& policies = {})
       : sim(seed), channel(sim, std::make_unique<phy::LogDistanceModel>()) {
     for (std::size_t i = 0; i < positions.size(); ++i) {
       const auto id = static_cast<std::uint32_t>(i);
@@ -37,9 +51,7 @@ struct RoutingBed {
           sim, mac::MacConfig{}, net::Address(id), *phys.back(), factory));
       agents.push_back(std::make_unique<AodvAgent>(
           sim, cfg, net::Address(id), *macs.back(), factory,
-          std::make_unique<FloodPolicy>(),
-          std::make_unique<FirstArrivalSelection>(),
-          std::make_unique<ZeroLoadSource>()));
+          policies.rebroadcast(i), policies.selection(), policies.load(i)));
       agents.back()->set_deliver_callback(
           [this, id](net::Packet p, net::Address origin) {
             deliveries.push_back({p.uid(), origin, net::Address(id)});
@@ -55,6 +67,22 @@ struct RoutingBed {
   void send(std::size_t from, std::size_t to, std::uint32_t bytes = 256) {
     net::Packet p = factory.make(bytes, sim.now());
     agents[from]->send(std::move(p), net::Address(static_cast<std::uint32_t>(to)));
+  }
+
+  // Advances in 1 ms steps until `done` holds (or `limit` passes), so a
+  // test can stop inside a decision window it cannot time exactly.
+  bool run_until_true(const std::function<bool()>& done, sim::Time limit) {
+    while (!done()) {
+      if (sim.now() >= limit) return false;
+      sim.run_until(sim.now() + sim::Time::millis(1.0));
+    }
+    return true;
+  }
+
+  [[nodiscard]] std::size_t pending_rreqs() const {
+    std::size_t n = 0;
+    for (const auto& a : agents) n += a->pending_rreqs();
+    return n;
   }
 
   [[nodiscard]] std::size_t delivered_at(std::size_t node) const {
@@ -78,6 +106,46 @@ struct RoutingBed {
 // 5-node line with 200 m spacing: each node reaches only its direct
 // neighbours (250 m range), so 0 -> 4 needs a 4-hop route.
 std::vector<Vec2> line5() { return mobility::line_placement(5, 200.0); }
+
+// Diamond: source 0 reaches relays 1 and 2 (223 m), which reach each
+// other (200 m) and destination 3 (223 m); 0 and 3 are 400 m apart, so
+// every 0 -> 3 route goes through exactly one relay.
+std::vector<Vec2> diamond() {
+  return {{0, 0}, {200, 100}, {200, -100}, {400, 0}};
+}
+
+// Forwards every first copy after a fixed delay, so a test decides the
+// order in which a destination hears the relays' copies.
+class FixedDelayForward final : public RebroadcastPolicy {
+ public:
+  explicit FixedDelayForward(sim::Time delay) : delay_(delay) {}
+  RebroadcastDecision decide(const RebroadcastContext&,
+                             sim::RngStream&) override {
+    return {RebroadcastAction::kForward, delay_};
+  }
+  [[nodiscard]] std::string name() const override { return "fixed-delay"; }
+
+ private:
+  sim::Time delay_;
+};
+
+class FixedLoad final : public LoadSource {
+ public:
+  explicit FixedLoad(double load) : load_(load) {}
+  [[nodiscard]] double load_index() const override { return load_; }
+
+ private:
+  double load_;
+};
+
+// Counter-based suppression (the `cb` protocol's policy) at every node.
+Policies counter_policies(std::uint32_t threshold) {
+  Policies p;
+  p.rebroadcast = [threshold](std::size_t) {
+    return std::make_unique<CounterPolicy>(threshold);
+  };
+  return p;
+}
 
 TEST(Aodv, DiscoversMultiHopRouteAndDelivers) {
   RoutingBed tb(line5());
@@ -401,6 +469,130 @@ TEST(Aodv, SeqnoWraparoundAcceptsPostRolloverRoutes) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->dest_seqno, 2u) << "post-wrap seqno rejected as stale";
   EXPECT_EQ(e->hop_count, 2u);  // the fresher 2-hop path replaced 5 hops
+}
+
+// --- decision windows -------------------------------------------------
+// kDefer assessments and destination reply waits keep the copy they
+// decide on outside the RREQ duplicate cache, only while their timer is
+// armed. These tests pin what the deferred paths do with that copy.
+
+TEST(AodvDecisionWindow, CounterPolicyForwardsDeferredCopyFromStoredHeader) {
+  // Counter threshold 3 on a line: each relay hears at most one copy
+  // before its window closes, so every relay forwards exactly once.
+  RoutingBed tb(line5(), {}, 1, counter_policies(3));
+  tb.sim.schedule(sim::Time::seconds(2.0), [&] { tb.send(0, 4); });
+  tb.sim.run_until(sim::Time::seconds(4.0));  // routes still active
+
+  EXPECT_EQ(tb.delivered_at(4), 1u);
+  for (std::size_t relay = 1; relay <= 3; ++relay) {
+    const auto& c = tb.agents[relay]->counters();
+    EXPECT_EQ(c.rreq_received, 1u) << "relay " << relay;
+    EXPECT_EQ(c.rreq_forwarded, 1u) << "relay " << relay;
+    EXPECT_EQ(c.rreq_suppressed, 0u) << "relay " << relay;
+  }
+  EXPECT_EQ(tb.agents[4]->counters().rreq_forwarded, 0u);
+  EXPECT_EQ(tb.agents[4]->counters().rrep_originated, 1u);
+  // The destination's reverse route took the hop count the three
+  // deferred forwards carried in the stored header: 3 relays + 1.
+  const RouteEntry* rev =
+      tb.agents[4]->routes().lookup(net::Address(0), tb.sim.now());
+  ASSERT_NE(rev, nullptr);
+  EXPECT_EQ(rev->hop_count, 4u);
+  EXPECT_EQ(rev->next_hop, net::Address(3));
+  tb.sim.run_until(sim::Time::seconds(10.0));
+  EXPECT_EQ(tb.pending_rreqs(), 0u);
+}
+
+TEST(AodvDecisionWindow, CounterPolicySuppressesAfterHearingDuplicate) {
+  // Counter threshold 2 on the diamond: both relays defer on the
+  // source's copy; the one whose window closes first forwards, and the
+  // other hears that copy inside its own window and stays silent.
+  RoutingBed tb(diamond(), {}, 1, counter_policies(2));
+  tb.sim.schedule(sim::Time::seconds(2.0), [&] { tb.send(0, 3); });
+  tb.sim.run_until(sim::Time::seconds(10.0));
+
+  EXPECT_EQ(tb.delivered_at(3), 1u);
+  const auto& a = tb.agents[1]->counters();
+  const auto& b = tb.agents[2]->counters();
+  EXPECT_EQ(a.rreq_received, 1u);
+  EXPECT_EQ(b.rreq_received, 1u);
+  EXPECT_EQ(a.rreq_forwarded + b.rreq_forwarded, 1u);
+  EXPECT_EQ(a.rreq_suppressed + b.rreq_suppressed, 1u);
+  EXPECT_EQ(a.rreq_duplicates + b.rreq_duplicates, 1u);
+  EXPECT_EQ(tb.agents[0]->counters().rreq_originated, 1u);
+  EXPECT_EQ(tb.pending_rreqs(), 0u);
+}
+
+TEST(AodvDecisionWindow, BestMetricDestinationRepliesAlongLowerLoadPath) {
+  // Relay 1 is loaded (0.8) and forwards after 1 ms; relay 2 is light
+  // (0.2) and forwards after 20 ms. The destination hears the heavy
+  // copy first and the light one inside its 50 ms window, and must
+  // reply with the light copy's metric along the light relay.
+  AodvConfig cfg;
+  cfg.use_load_metric = true;
+  Policies p;
+  p.rebroadcast = [](std::size_t node) {
+    return std::make_unique<FixedDelayForward>(
+        sim::Time::millis(node == 1 ? 1.0 : 20.0));
+  };
+  p.selection = [] { return std::make_unique<BestMetricSelection>(); };
+  p.load = [](std::size_t node) {
+    return std::make_unique<FixedLoad>(node == 1 ? 0.8 : node == 2 ? 0.2 : 0.0);
+  };
+  RoutingBed tb(diamond(), cfg, 1, p);
+  tb.sim.schedule(sim::Time::seconds(2.0), [&] { tb.send(0, 3); });
+  tb.sim.run_until(sim::Time::seconds(4.0));  // routes still active
+
+  EXPECT_EQ(tb.delivered_at(3), 1u);
+  const auto& dest = tb.agents[3]->counters();
+  EXPECT_EQ(dest.rreq_received, 1u);
+  EXPECT_EQ(dest.rreq_duplicates, 1u);
+  EXPECT_EQ(dest.rrep_originated, 1u);
+  EXPECT_EQ(tb.agents[1]->counters().rrep_forwarded, 0u);
+  EXPECT_EQ(tb.agents[2]->counters().rrep_forwarded, 1u);
+
+  const RouteEntry* fwd =
+      tb.agents[0]->routes().lookup(net::Address(3), tb.sim.now());
+  ASSERT_NE(fwd, nullptr);
+  EXPECT_EQ(fwd->next_hop, net::Address(2));
+  EXPECT_EQ(fwd->hop_count, 2u);
+  // The RREP carries the chosen copy's path load: the source's and the
+  // light relay's neighbourhood loads (own weight 0.5, neighbours
+  // advertise nothing), not the heavy relay's.
+  EXPECT_DOUBLE_EQ(fwd->metric, 0.5 * 0.0 + 0.5 * 0.2);
+  tb.sim.run_until(sim::Time::seconds(10.0));
+  EXPECT_EQ(tb.pending_rreqs(), 0u);
+}
+
+TEST(AodvDecisionWindow, PendingCopiesLiveOnlyWhileTheirTimerIsArmed) {
+  // cb relays defer; a best-metric destination collects. Stop inside
+  // each window and look at the transient table.
+  Policies p = counter_policies(2);
+  p.selection = [] { return std::make_unique<BestMetricSelection>(); };
+  RoutingBed tb(diamond(), {}, 1, p);
+  EXPECT_EQ(tb.pending_rreqs(), 0u);
+  tb.sim.schedule(sim::Time::seconds(2.0), [&] { tb.send(0, 3); });
+
+  const sim::Time limit = sim::Time::seconds(3.0);
+  ASSERT_TRUE(tb.run_until_true(
+      [&] { return tb.agents[1]->pending_rreqs() + tb.agents[2]->pending_rreqs() > 0; },
+      limit));
+  EXPECT_EQ(tb.agents[0]->pending_rreqs(), 0u);  // the origin holds none
+  ASSERT_TRUE(tb.run_until_true(
+      [&] { return tb.agents[3]->pending_rreqs() == 1; }, limit));
+  // The relay that forwarded has closed its window; the other may
+  // still be inside its own.
+  EXPECT_LE(tb.agents[1]->pending_rreqs() + tb.agents[2]->pending_rreqs(), 1u);
+
+  // A crash mid-window forgets the pending copy with the rest.
+  tb.agents[3]->pause();
+  EXPECT_EQ(tb.agents[3]->pending_rreqs(), 0u);
+  tb.agents[3]->resume();
+
+  // The source retries; once every window has closed nothing is held.
+  tb.sim.run_until(sim::Time::seconds(15.0));
+  EXPECT_EQ(tb.delivered_at(3), 1u);
+  EXPECT_EQ(tb.pending_rreqs(), 0u);
 }
 
 }  // namespace

@@ -37,6 +37,11 @@ class RecordingListener final : public PhyListener {
   std::vector<bool> cca_changes;
 };
 
+struct TagHeader {
+  static constexpr std::uint32_t kWireSize = 8;
+  std::uint64_t tag = 0;
+};
+
 struct TestBed {
   explicit TestBed(std::vector<Vec2> positions, std::uint64_t seed = 1)
       : sim(seed), channel(sim, std::make_unique<LogDistanceModel>()) {
@@ -52,6 +57,18 @@ struct TestBed {
   }
 
   net::Packet packet(std::uint32_t bytes) { return factory.make(bytes, sim.now()); }
+
+  // A packet with one header pushed: it owns one arena node, so the
+  // arena's live_nodes() shows whether anyone still holds a copy.
+  net::Packet tagged(std::uint32_t bytes) {
+    net::Packet p = packet(bytes);
+    p.push(TagHeader{});
+    return p;
+  }
+
+  [[nodiscard]] std::size_t live_nodes() const {
+    return factory.arena().live_nodes();
+  }
 
   sim::Simulator sim;
   WirelessChannel channel;
@@ -197,6 +214,70 @@ TEST(WifiPhy, PropagationDelayOrdersDistantReceivers) {
   EXPECT_EQ(tb.listeners[1]->received[0].uid(), tb.listeners[2]->received[0].uid());
   (void)near_start;
   (void)far_start;
+}
+
+// --- packet ownership -------------------------------------------------
+// A radio copies a frame's packet only when it locks onto it; every
+// other arrival is energy (key + power) and holds no packet reference.
+
+TEST(WifiPhyOwnership, RxEndHandsOverTheLockedFramesPacket) {
+  TestBed tb({{0, 0}, {150, 0}});
+  net::Packet p = tb.tagged(100);
+  const std::uint64_t uid = p.uid();
+  tb.sim.schedule(sim::Time::zero(),
+                  [&] { tb.phys[0]->send(std::move(p)); });
+  tb.sim.run();
+  ASSERT_EQ(tb.listeners[1]->received.size(), 1u);
+  EXPECT_EQ(tb.listeners[1]->received[0].uid(), uid);
+  // The listener's copy is the only one left.
+  EXPECT_EQ(tb.live_nodes(), 1u);
+  tb.listeners[1]->received.clear();
+  EXPECT_EQ(tb.live_nodes(), 0u);
+}
+
+TEST(WifiPhyOwnership, NonDecodableArrivalsHoldNoPacket) {
+  // Receiver 1 locks onto sender 0's frame (50 m). Sender 2's frame
+  // (320 m from the receiver: below sensitivity, above the CCA
+  // threshold) overlaps it; the senders also hear each other's frame
+  // while transmitting. Only the lock may keep a packet alive.
+  TestBed tb({{-50, 0}, {0, 0}, {320, 0}});
+  net::Packet strong = tb.tagged(500);
+  const std::uint64_t strong_uid = strong.uid();
+  tb.sim.schedule(sim::Time::zero(),
+                  [&] { tb.phys[0]->send(std::move(strong)); });
+  tb.sim.schedule(sim::Time::micros(500.0),
+                  [&] { tb.phys[2]->send(tb.tagged(500)); });
+  tb.sim.run_until(sim::Time::micros(1000.0));
+  // Mid-overlap: four arrivals are on the air (two at the receiver,
+  // one at each sender), all begins have run and dropped the channel's
+  // copies, so the receiver's lock holds the only live packet.
+  ASSERT_EQ(tb.phys[1]->state(), WifiPhy::State::kRx);
+  EXPECT_GT(tb.phys[1]->counters().rx_below_sensitivity, 0u);
+  EXPECT_EQ(tb.live_nodes(), 1u);
+
+  tb.sim.run();
+  ASSERT_EQ(tb.listeners[1]->received.size(), 1u);
+  EXPECT_EQ(tb.listeners[1]->received[0].uid(), strong_uid);
+  tb.listeners[1]->received.clear();
+  EXPECT_EQ(tb.live_nodes(), 0u);
+}
+
+TEST(WifiPhyOwnership, PowerDownReleasesTheLockedPacket) {
+  TestBed tb({{0, 0}, {150, 0}});
+  const std::size_t before = tb.live_nodes();
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.tagged(500)); });
+  tb.sim.run_until(sim::Time::micros(1000.0));
+  ASSERT_EQ(tb.phys[1]->state(), WifiPhy::State::kRx);
+  EXPECT_EQ(tb.live_nodes(), before + 1);  // held by the lock
+
+  tb.phys[1]->set_up(false);
+  EXPECT_EQ(tb.live_nodes(), before);
+  tb.sim.run();
+  EXPECT_EQ(tb.live_nodes(), before);
+  // A dropped lock ends silently: no on_rx_end, no decode verdict.
+  EXPECT_TRUE(tb.listeners[1]->received.empty());
+  EXPECT_EQ(tb.listeners[1]->rx_failures, 0);
+  EXPECT_EQ(tb.phys[1]->counters().rx_ok, 0u);
 }
 
 }  // namespace
