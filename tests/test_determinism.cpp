@@ -7,6 +7,8 @@
 // fingerprint that stopped depending on the RNG would be caught too.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "exp/metrics.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -282,6 +284,96 @@ TEST(Determinism, ShardCountInvarianceProductionWorkload) {
     } else {
       EXPECT_EQ(run_fp, fp) << "shards=" << shards;
     }
+  }
+}
+
+// Golden oracle: the tests above compare runs with each other, so a
+// change that shifts every run the same way would slip through. These
+// pin literal fingerprints and event counts. The values hold for one
+// (config, seed) on IEEE-754 doubles with the project's x86-64
+// toolchains (GCC/Clang, any build type, SIMD on or off); changing one
+// needs a before/after fingerprint table in CHANGES.md.
+exp::ScenarioConfig golden_config(std::uint64_t seed, core::Protocol protocol) {
+  exp::ScenarioConfig cfg = mid_size_config(seed, protocol);
+  cfg.traffic_time = sim::Time::seconds(6.0);
+  return cfg;
+}
+
+void add_churn(exp::ScenarioConfig& cfg, double rate_per_s) {
+  cfg.fault.churn.rate_per_s = rate_per_s;
+  cfg.fault.churn.mean_downtime = sim::Time::seconds(2.0);
+  cfg.fault.churn.start = cfg.warmup;
+  cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
+}
+
+struct Golden {
+  const char* name;
+  exp::ScenarioConfig cfg;
+  std::uint64_t fingerprint;
+  std::uint64_t events;
+};
+
+std::vector<Golden> golden_runs() {
+  std::vector<Golden> g;
+
+  g.push_back({"classic static clnlr", golden_config(42, core::Protocol::kClnlr),
+               0x3bd36501a140ccfeULL, 106870});
+
+  exp::ScenarioConfig mobile = golden_config(13, core::Protocol::kAodvGossip);
+  mobile.mobility.max_speed_mps = 5.0;
+  g.push_back({"classic mobile gossip", mobile, 0x7b8766d01b96eacdULL, 78144});
+
+  exp::ScenarioConfig faults = golden_config(21, core::Protocol::kClnlr);
+  add_churn(faults, 0.5);
+  faults.fault.outages.push_back(
+      {5, sim::Time::seconds(4.0), sim::Time::seconds(7.0)});
+  faults.fault.blackouts.push_back(
+      {1, 2, sim::Time::seconds(3.5), sim::Time::seconds(6.0), 200.0, true});
+  faults.options.aodv.local_repair = true;
+  faults.options.aodv.rrep_blacklist = true;
+  faults.options.aodv.rerr_to_precursors = true;
+  g.push_back({"classic churn + outage + blackout, repair", faults,
+               0x9f568c3b1d922159ULL, 83716});
+
+  exp::ScenarioConfig full_scan = golden_config(5, core::Protocol::kClnlr);
+  full_scan.spatial_index = false;
+  add_churn(full_scan, 0.5);
+  g.push_back({"no spatial index, churn", full_scan, 0x1356d70ff9e74db8ULL,
+               94654});
+
+  exp::ScenarioConfig sharded = golden_config(9, core::Protocol::kClnlr);
+  sharded.n_nodes = 25;
+  sharded.area_width_m = 500.0;
+  sharded.area_height_m = 500.0;
+  sharded.traffic.n_flows = 4;
+  sharded.intra_run_shards = 2;
+  add_churn(sharded, 0.5);
+  g.push_back({"sharded, churn", sharded, 0x8391626ffd39c1e2ULL, 38983});
+
+  // Mobility downgrades sharding to one region: the classic twin's
+  // values, exactly.
+  exp::ScenarioConfig downgraded = mobile;
+  downgraded.intra_run_shards = 2;
+  g.push_back({"mobile, 2 shards (downgraded)", downgraded, g[1].fingerprint,
+               g[1].events});
+  return g;
+}
+
+TEST(Determinism, GoldenFingerprints) {
+  for (const Golden& g : golden_runs()) {
+    exp::Scenario s(g.cfg);
+    if (g.cfg.intra_run_shards > 0 && !g.cfg.mobility.mobile()) {
+      ASSERT_GT(s.shard_map()->region_count(), 1u) << g.name;
+    }
+    s.run();
+    const exp::RunMetrics m = s.metrics();
+    if (!g.cfg.fault.empty()) {
+      EXPECT_GT(m.fault_crashes, 0u) << g.name << ": no fault realized";
+    }
+    EXPECT_EQ(exp::fingerprint(m), g.fingerprint)
+        << g.name << ": got 0x" << std::hex << exp::fingerprint(m);
+    EXPECT_EQ(static_cast<std::uint64_t>(m.sim_event_count), g.events)
+        << g.name;
   }
 }
 

@@ -237,6 +237,69 @@ TEST(FaultInjector, CopyLostInFlightCountsOnlyAsFaultDrop) {
 // RREQ rebroadcast jitter timers, reply timers, and retry timers are
 // all pending — must cancel every per-agent event. Under ASan a stale
 // timer firing into a paused/cleared agent shows up immediately.
+// Exact copy attribution on a fixed topology: one broadcast from node 0
+// at t = 2 s past a record-only injector running `plan`. Nodes 1 and 2
+// sit in range of node 0; nodes 3 and 4 are far beyond it.
+phy::WirelessChannel::Counters one_faulted_broadcast(FaultPlan plan,
+                                                     bool spatial_index) {
+  sim::Simulator sim(1);
+  phy::WirelessChannel channel(sim, std::make_unique<phy::LogDistanceModel>());
+  if (spatial_index) channel.enable_spatial_index(6000.0, 6000.0);
+  const std::vector<Vec2> positions = {
+      {100.0, 100.0}, {200.0, 100.0}, {100.0, 200.0}, {5100.0, 100.0},
+      {100.0, 5100.0}};
+  std::vector<std::unique_ptr<ConstantPositionModel>> mobilities;
+  std::vector<std::unique_ptr<phy::WifiPhy>> phys;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    mobilities.push_back(std::make_unique<ConstantPositionModel>(positions[i]));
+    phys.push_back(std::make_unique<phy::WifiPhy>(
+        sim, phy::PhyConfig{}, static_cast<std::uint32_t>(i),
+        mobilities.back().get()));
+    channel.attach(phys.back().get());
+  }
+  const double floor = phys[0]->config().detection_floor_dbm;
+  EXPECT_GT(channel.link_rx_power_dbm(*phys[0], *phys[1]), floor);
+  EXPECT_GT(channel.link_rx_power_dbm(*phys[0], *phys[2]), floor);
+  EXPECT_LT(channel.link_rx_power_dbm(*phys[0], *phys[3]), floor);
+  EXPECT_LT(channel.link_rx_power_dbm(*phys[0], *phys[4]), floor);
+
+  Injector injector(sim, std::move(plan), positions.size());
+  channel.set_fault_overlay(&injector);
+  net::PacketFactory factory;
+  sim.schedule_at(sim::Time::seconds(2.0), [&] {
+    const net::Packet p = factory.make(64, sim.now());
+    channel.transmit(*phys[0], p, phys[0]->tx_duration(64));
+  });
+  sim.run_until(sim::Time::seconds(3.0));
+  EXPECT_EQ(channel.deliveries_in_flight(), 0u);
+  return channel.counters();
+}
+
+TEST(FaultInjector, CrashedReceiverBeyondRangeIsAFaultDrop) {
+  for (const bool spatial_index : {false, true}) {
+    FaultPlan plan;
+    plan.outages.push_back({3, sim::Time::seconds(1.0), sim::Time::seconds(10.0)});
+    const auto c = one_faulted_broadcast(std::move(plan), spatial_index);
+    EXPECT_EQ(c.transmissions, 1u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_delivered, 2u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_dropped_floor, 1u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_dropped_fault, 1u) << "index " << spatial_index;
+  }
+}
+
+TEST(FaultInjector, BlackoutUnderTheFloorIsAFloorDrop) {
+  for (const bool spatial_index : {false, true}) {
+    FaultPlan plan;
+    plan.blackouts.push_back(
+        {0, 1, sim::Time::seconds(1.0), sim::Time::seconds(10.0), 200.0, true});
+    const auto c = one_faulted_broadcast(std::move(plan), spatial_index);
+    EXPECT_EQ(c.transmissions, 1u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_delivered, 1u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_dropped_floor, 3u) << "index " << spatial_index;
+    EXPECT_EQ(c.copies_dropped_fault, 0u) << "index " << spatial_index;
+  }
+}
+
 TEST(FaultInjector, CrashDuringActiveDiscoveryIsClean) {
   FaultBed tb(line5());
   FaultPlan plan;

@@ -9,10 +9,12 @@
 #include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/check.hpp"
 #include "exp/failure.hpp"
+#include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "sim/cancel_token.hpp"
 #include "sim/simulator.hpp"
@@ -245,6 +247,33 @@ TEST(Supervision, FailureCountsCoverEveryKind) {
   const std::string report = sweep.failure_report();
   EXPECT_NE(report.find("deadline_exceeded"), std::string::npos);
   EXPECT_NE(report.find("bad_alloc"), std::string::npos);
+}
+
+// The budget abort names the simulated time it stopped at: the clock of
+// the engine that ran out, never the time the run started from.
+TEST(Supervision, EventBudgetAbortReportsItsSimulatedTime) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    ScenarioConfig cfg;
+    cfg.n_nodes = 25;
+    cfg.area_width_m = 500.0;
+    cfg.area_height_m = 500.0;
+    cfg.traffic.n_flows = 4;
+    cfg.warmup = sim::Time::seconds(1.0);
+    cfg.traffic_time = sim::Time::seconds(4.0);
+    cfg.event_budget = 20000;
+    cfg.intra_run_shards = shards;
+    Scenario s(cfg);
+    try {
+      s.run();
+      ADD_FAILURE() << "shards " << shards << ": budget never tripped";
+    } catch (const RunAborted& e) {
+      EXPECT_EQ(e.kind(), FailureKind::kEventBudgetExhausted);
+      const std::string what = e.what();
+      const std::size_t at = what.find("t=");
+      ASSERT_NE(at, std::string::npos) << what;
+      EXPECT_GT(std::stod(what.substr(at + 2)), 0.0) << what;
+    }
+  }
 }
 
 TEST(Supervision, NoDeadlineMeansNoTokenAndNoWatchdog) {
