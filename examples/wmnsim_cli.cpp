@@ -37,10 +37,12 @@
 //   --no-spatial-index run the channel's full O(N^2) broadcast scan
 //                      (results are bit-identical; diagnostic only)
 //   --shards N         conservative-PDES intra-run sharding on N worker
-//                      threads (0 = classic serial engine). Fingerprints
-//                      are bit-identical for every N >= 1; see
-//                      DESIGN.md §3e for the determinism contract
-//   --timeseries FILE  write 1 Hz network time series CSV
+//                      threads (0 = one region, the serial event order).
+//                      Fingerprints are bit-identical for every N >= 1;
+//                      see DESIGN.md §3e for the determinism contract.
+//                      Prints the region count, worker count and epoch
+//   --timeseries FILE  write 1 Hz network time series CSV (one-region
+//                      runs only: exits 2 when --shards splits the area)
 //   --flows-csv FILE   write per-flow results CSV
 //   --fingerprint      also print the run's exp::fingerprint (hex) and
 //                      executed event count — the same-seed
@@ -215,8 +217,22 @@ int main(int argc, char** argv) {
   }
 
   exp::Scenario scenario(cfg);
+  const sim::ShardedSimulator& engine = *scenario.sharded_engine();
+  if (cfg.intra_run_shards > 0) {
+    // One region means sharding downgraded (mobile nodes, spatial index
+    // off, or unbounded range): the serial event order on one worker.
+    std::cout << "sharding: " << engine.region_count() << " region(s), "
+              << engine.worker_threads() << " worker(s), epoch "
+              << stats::Table::num(engine.epoch().to_seconds() * 1e6, 1)
+              << " us\n";
+  }
   std::unique_ptr<exp::TimeseriesProbe> probe;
   if (!timeseries_path.empty()) {
+    if (engine.region_count() > 1) {
+      std::cerr << "--timeseries needs a one-region run; this one has "
+                << engine.region_count() << " regions (drop --shards)\n";
+      return 2;
+    }
     probe = std::make_unique<exp::TimeseriesProbe>(scenario,
                                                    sim::Time::seconds(1.0));
   }

@@ -11,7 +11,6 @@
 
 #include "mobility/placement.hpp"
 #include "phy/units.hpp"
-#include "sim/logging.hpp"
 #include "stats/fairness.hpp"
 
 namespace wmn::exp {
@@ -23,41 +22,13 @@ constexpr std::uint64_t kMobilitySalt = 0x0B11'0000'0000'0000ULL;
 constexpr std::uint64_t kArrivalSalt = 0xA881'7A10'0000'0000ULL;
 }  // namespace
 
-Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
+Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   WMN_CHECK_GE(cfg_.n_nodes, std::size_t{2}, "a mesh needs at least two nodes");
-  if (cfg_.intra_run_shards > 0) build_sharded();
-  if (cfg_.event_budget != 0) {
-    if (sharded_) {
-      sharded_->set_event_budget(cfg_.event_budget);
-    } else {
-      sim_.set_event_budget(cfg_.event_budget);
-    }
-  }
-  if (!sharded_) {
-    channel_ = std::make_unique<phy::WirelessChannel>(sim_, make_propagation());
-    if (cfg_.spatial_index) {
-      channel_->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
-    }
-  }
+  build_engine();
+  if (cfg_.event_budget != 0) engine_->set_event_budget(cfg_.event_budget);
   build_nodes();
   build_traffic();
-
-  if (!cfg_.fault.empty()) {
-    std::vector<fault::NodeHooks> hooks;
-    hooks.reserve(nodes_.size());
-    for (NodeStack& n : nodes_) {
-      hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
-    }
-    if (sharded_) {
-      build_fault_timeline(hooks);
-    } else {
-      injector_ = std::make_unique<fault::Injector>(sim_, cfg_.fault,
-                                                    std::move(hooks));
-      channel_->set_fault_overlay(injector_.get());
-      registry_.set_outage_query(
-          [this](sim::Time t) { return injector_->in_fault_window(t); });
-    }
-  }
+  if (!cfg_.fault.empty()) build_faults();
 }
 
 Scenario::~Scenario() = default;
@@ -74,106 +45,88 @@ std::unique_ptr<phy::PropagationModel> Scenario::make_propagation() const {
   return prop;
 }
 
-sim::Simulator& Scenario::node_sim(std::size_t i) {
-  return sharded_ ? sharded_->region(home_region_[i]) : sim_;
-}
-
-net::PacketFactory& Scenario::node_factory(std::size_t i) {
-  return sharded_ ? *region_factories_[home_region_[i]] : factory_;
-}
-
-traffic::FlowRegistry& Scenario::node_registry(std::size_t i) {
-  return sharded_ ? *region_registries_[home_region_[i]] : registry_;
-}
-
 // Select the region decomposition, the epoch (conservative lookahead),
 // and the per-region engine state. Region count and epoch are pure
 // functions of the scenario config — NEVER of intra_run_shards, which
 // only caps the worker-thread count — so every shard count executes
-// the identical event schedule (DESIGN.md §3e).
-void Scenario::build_sharded() {
-  const sim::Logger log("shard");
-  const double range = make_propagation()->max_range_m(
-      cfg_.phy.tx_power_dbm, cfg_.phy.detection_floor_dbm);
-  sim::Time epoch = sim::ShardMap::lookahead(range, phy::kSpeedOfLight,
-                                             cfg_.mac.sifs + cfg_.mac.slot);
+// the identical event schedule (DESIGN.md §3e). One region has no
+// cross-region edges: a single whole-horizon epoch is the exact serial
+// event order.
+void Scenario::build_engine() {
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
-
-  bool downgrade = false;
-  if (cfg_.mobility.mobile()) {
-    log.warn(sim::Time::zero(),
-             "mobile nodes have no stable home region; sharding downgraded "
-             "to one region");
-    downgrade = true;
-  }
-  if (!cfg_.spatial_index) {
-    log.warn(sim::Time::zero(),
-             "sharding shares the spatial index's grid geometry; "
-             "spatial_index=false downgrades to one region");
-    downgrade = true;
-  }
-  if (epoch == sim::Time::max()) {
-    log.warn(sim::Time::zero(),
-             "propagation model has no finite detection range, so no finite "
-             "lookahead exists; sharding downgraded to one region");
-    downgrade = true;
-  }
-
-  const double cell = phy::SpatialIndex::cell_size_for(
-      std::isfinite(range) ? range : 0.0, cfg_.area_width_m, cfg_.area_height_m);
-  const phy::SpatialIndex::Grid g =
-      phy::SpatialIndex::grid_for(cfg_.area_width_m, cfg_.area_height_m, cell);
-  const sim::ShardGrid grid{g.nx, g.ny, g.cell_m};
-  if (downgrade) {
-    shard_map_ = std::make_unique<sim::ShardMap>(sim::ShardMap::single(grid));
-  } else {
+  sim::Time epoch = horizon;
+  std::uint32_t regions = 1;
+  if (cfg_.intra_run_shards > 0) {
+    const double range = make_propagation()->max_range_m(
+        cfg_.phy.tx_power_dbm, cfg_.phy.detection_floor_dbm);
+    const sim::Time lookahead = sim::ShardMap::lookahead(
+        range, phy::kSpeedOfLight, cfg_.mac.sifs + cfg_.mac.slot);
+    const double cell = phy::SpatialIndex::cell_size_for(
+        std::isfinite(range) ? range : 0.0, cfg_.area_width_m, cfg_.area_height_m);
+    const phy::SpatialIndex::Grid g =
+        phy::SpatialIndex::grid_for(cfg_.area_width_m, cfg_.area_height_m, cell);
+    const sim::ShardGrid grid{g.nx, g.ny, g.cell_m};
+    // One region when mobile nodes have no stable home region, when the
+    // spatial index (whose grid geometry sharding shares) is off, or
+    // when an unbounded detection range leaves no finite lookahead.
+    const bool shardable = !cfg_.mobility.mobile() && cfg_.spatial_index &&
+                           lookahead != sim::Time::max();
     shard_map_ = std::make_unique<sim::ShardMap>(
-        sim::ShardMap::build(grid, sim::ShardMap::kRegionTarget));
-  }
-  const std::uint32_t regions = shard_map_->region_count();
-  // One region has no cross-region edges: a single whole-horizon epoch
-  // is the exact serial event semantics, minus ~500k no-op barriers.
-  if (regions == 1) epoch = horizon;
-
-  sharded_ = std::make_unique<sim::ShardedSimulator>(cfg_.seed, regions, epoch,
-                                                     cfg_.intra_run_shards);
-  if (regions > 1) {
-    // A cross-region ACK/CTS can be released up to one epoch after its
-    // physical arrival (the barrier clamp); widen the MAC timeout
-    // slack by two epochs so the clamp shows up as latency, not as
-    // spurious retries. Epoch is config-pure, so this is identical for
-    // every shard count.
-    cfg_.mac.ack_timeout_slack += epoch + epoch;
-    cfg_.mac.cts_timeout_slack += epoch + epoch;
+        shardable ? sim::ShardMap::build(grid, sim::ShardMap::kRegionTarget)
+                  : sim::ShardMap::single(grid));
+    regions = shard_map_->region_count();
+    if (regions > 1) {
+      epoch = lookahead;
+      // A cross-region ACK/CTS can be released up to one epoch after its
+      // physical arrival (the barrier clamp); widen the MAC timeout
+      // slack by two epochs so the clamp shows up as latency, not as
+      // spurious retries. Epoch is config-pure, so this is identical for
+      // every shard count.
+      cfg_.mac.ack_timeout_slack += epoch + epoch;
+      cfg_.mac.cts_timeout_slack += epoch + epoch;
+    }
   }
 
-  region_factories_.reserve(regions);
-  region_registries_.reserve(regions);
-  region_channels_.reserve(regions);
+  engine_ = std::make_unique<sim::ShardedSimulator>(cfg_.seed, regions, epoch,
+                                                    cfg_.intra_run_shards);
   for (std::uint32_t r = 0; r < regions; ++r) {
-    region_factories_.push_back(std::make_unique<net::PacketFactory>());
-    region_registries_.push_back(std::make_unique<traffic::FlowRegistry>());
-    auto ch = std::make_unique<phy::WirelessChannel>(sharded_->region(r),
+    factories_.push_back(std::make_unique<net::PacketFactory>());
+    registries_.push_back(std::make_unique<traffic::FlowRegistry>());
+    auto ch = std::make_unique<phy::WirelessChannel>(engine_->region(r),
                                                      make_propagation());
-    ch->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
-    region_channels_.push_back(std::move(ch));
+    if (cfg_.spatial_index) {
+      ch->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
+    }
+    channels_.push_back(std::move(ch));
   }
 }
 
-// Precompute the fault history (fault::FaultTimeline runs a
-// record-only injector off-line) and wire it into every region: the
-// timeline is each region channel's overlay, and the crash/rejoin
-// choreography is scheduled onto each victim's home-region calendar.
-void Scenario::build_fault_timeline(
-    const std::vector<fault::NodeHooks>& hooks) {
+// The fault model follows the region count. One region runs the live
+// fault::Injector on its calendar. More than one precomputes the
+// history (fault::FaultTimeline runs a record-only injector off-line)
+// and wires it into every region: the timeline is each region
+// channel's overlay, and the crash/rejoin choreography is scheduled
+// onto each victim's home-region calendar.
+void Scenario::build_faults() {
+  std::vector<fault::NodeHooks> hooks;
+  hooks.reserve(nodes_.size());
+  for (NodeStack& n : nodes_) {
+    hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
+  }
+  if (engine_->region_count() == 1) {
+    injector_ = std::make_unique<fault::Injector>(engine_->region(0), cfg_.fault,
+                                                  std::move(hooks));
+    channels_.front()->set_fault_overlay(injector_.get());
+    registries_.front()->set_outage_query(
+        [this](sim::Time t) { return injector_->in_fault_window(t); });
+    return;
+  }
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
   timeline_ = std::make_unique<fault::FaultTimeline>(cfg_.seed, cfg_.fault,
                                                      nodes_.size(), horizon);
-  for (const auto& ch : region_channels_) {
-    ch->set_fault_overlay(timeline_.get());
-  }
+  for (const auto& ch : channels_) ch->set_fault_overlay(timeline_.get());
   const fault::Injector& record = timeline_->record();
-  for (const auto& rr : region_registries_) {
+  for (const auto& rr : registries_) {
     rr->set_outage_query(
         [&record](sim::Time t) { return record.in_fault_window(t); });
   }
@@ -187,7 +140,7 @@ void Scenario::build_fault_timeline(
 }
 
 void Scenario::build_nodes() {
-  sim::RngStream placement_rng = sim_.make_stream(kPlacementSalt);
+  sim::RngStream placement_rng = simulator().make_stream(kPlacementSalt);
   std::vector<mobility::Vec2> positions;
   switch (cfg_.placement) {
     case Placement::kGrid:
@@ -206,7 +159,7 @@ void Scenario::build_nodes() {
   }
 
   nodes_.resize(cfg_.n_nodes);
-  if (sharded_) home_region_.resize(cfg_.n_nodes);
+  home_region_.assign(cfg_.n_nodes, 0);
   for (std::size_t i = 0; i < cfg_.n_nodes; ++i) {
     NodeStack& n = nodes_[i];
     const auto id = static_cast<std::uint32_t>(i);
@@ -219,15 +172,13 @@ void Scenario::build_nodes() {
       rwp.min_speed_mps = cfg_.mobility.min_speed_mps;
       rwp.max_speed_mps = cfg_.mobility.max_speed_mps;
       rwp.pause = cfg_.mobility.pause;
-      // Mobility forces the single-region downgrade, so region 0 ==
-      // "the" simulator in sharded mode.
-      sim::Simulator& msim = sharded_ ? sharded_->region(0) : sim_;
+      // Mobility forces one region, so region 0 is "the" simulator.
       n.mobility = std::make_unique<mobility::RandomWaypointModel>(
-          msim, rwp, positions[i], kMobilitySalt ^ id);
+          simulator(), rwp, positions[i], kMobilitySalt ^ id);
     } else {
       n.mobility = std::make_unique<mobility::ConstantPositionModel>(positions[i]);
     }
-    if (sharded_) {
+    if (shard_map_ != nullptr) {
       // Home region: lowest grid cell the trajectory bounds overlap —
       // the cell of the bounding box's low corner (DESIGN.md §3e).
       const mobility::TrajectoryBounds b = n.mobility->trajectory_bounds();
@@ -237,46 +188,44 @@ void Scenario::build_nodes() {
     sim::Simulator& s = node_sim(i);
     net::PacketFactory& f = node_factory(i);
     n.phy = std::make_unique<phy::WifiPhy>(s, cfg_.phy, id, n.mobility.get());
-    if (!sharded_) channel_->attach(n.phy.get());
     n.mac = std::make_unique<mac::DcfMac>(s, cfg_.mac, addr, *n.phy, f);
     n.agent = core::make_agent(cfg_.protocol, cfg_.options, s, addr, *n.mac, f,
                                n.mobility.get());
     n.sink = std::make_unique<traffic::PacketSink>(s, *n.agent, node_registry(i));
   }
 
-  if (sharded_) {
-    // Every region channel registers every radio — home radios via
-    // attach (which binds the phy to that channel), the rest via
-    // attach_remote — in the same global node order, so attach indices
-    // agree across regions and delivery iteration order is a pure
-    // function of geometry.
-    const std::uint32_t regions = shard_map_->region_count();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      for (std::uint32_t r = 0; r < regions; ++r) {
-        if (r == home_region_[i]) {
-          region_channels_[r]->attach(nodes_[i].phy.get());
-        } else {
-          region_channels_[r]->attach_remote(nodes_[i].phy.get());
-        }
+  // Every region channel registers every radio — home radios via
+  // attach (which binds the phy to that channel), the rest via
+  // attach_remote — in the same global node order, so attach indices
+  // agree across regions and delivery iteration order is a pure
+  // function of geometry.
+  const std::uint32_t regions = engine_->region_count();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::uint32_t r = 0; r < regions; ++r) {
+      if (r == home_region_[i]) {
+        channels_[r]->attach(nodes_[i].phy.get());
+      } else {
+        channels_[r]->attach_remote(nodes_[i].phy.get());
       }
     }
-    std::vector<phy::WirelessChannel*> channels;
-    std::vector<net::PacketFactory*> factories;
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      channels.push_back(region_channels_[r].get());
-      factories.push_back(region_factories_[r].get());
-    }
-    router_ = std::make_unique<phy::ShardRouter>(home_region_, std::move(channels),
-                                                 std::move(factories));
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      region_channels_[r]->set_shard_router(router_.get(), r);
-    }
-    sharded_->set_barrier_hook(router_.get());
   }
+  if (regions == 1) return;
+  std::vector<phy::WirelessChannel*> channels;
+  std::vector<net::PacketFactory*> factories;
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    channels.push_back(channels_[r].get());
+    factories.push_back(factories_[r].get());
+  }
+  router_ = std::make_unique<phy::ShardRouter>(home_region_, std::move(channels),
+                                               std::move(factories));
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    channels_[r]->set_shard_router(router_.get(), r);
+  }
+  engine_->set_barrier_hook(router_.get());
 }
 
 void Scenario::build_traffic() {
-  sim::RngStream flow_rng = sim_.make_stream(kFlowSalt);
+  sim::RngStream flow_rng = simulator().make_stream(kFlowSalt);
   const auto n_nodes = static_cast<std::uint32_t>(cfg_.n_nodes);
 
   switch (cfg_.traffic.pattern) {
@@ -288,7 +237,7 @@ void Scenario::build_traffic() {
       // Gateways: the nodes nearest to anchor points spread along the
       // area diagonal — route diversity exists, as in deployed meshes.
       const std::size_t k = std::max<std::size_t>(cfg_.traffic.n_gateways, 1);
-      const sim::Time t0 = sim_.now();
+      const sim::Time t0 = simulator().now();
       for (std::size_t g = 0; g < k; ++g) {
         const double f = (static_cast<double>(g) + 1.0) /
                          (static_cast<double>(k) + 1.0);
@@ -343,7 +292,7 @@ void Scenario::build_traffic() {
   // the pair draws above (state-independent draw sequences).
   std::vector<sim::Time> starts(flow_pairs_.size(), cfg_.warmup);
   if (cfg_.traffic.mean_arrival_gap_s > 0.0) {
-    sim::RngStream arrival_rng = sim_.make_stream(kArrivalSalt);
+    sim::RngStream arrival_rng = simulator().make_stream(kArrivalSalt);
     // Offsets count from the traffic-window start, so the envelope's
     // clock starts at 0 here (vs. `warmup` for the session sources
     // below, which see absolute simulation time).
@@ -433,7 +382,7 @@ void Scenario::build_traffic() {
     // deliveries are recorded by the sink in DST's home region, whose
     // registry must know the flow too (record_delivery drops unknown
     // flow ids as stray). The two records merge after the run.
-    if (sharded_ && home_region_[dst] != home_region_[src]) {
+    if (home_region_[dst] != home_region_[src]) {
       node_registry(dst).register_flow(fid, net::Address(src),
                                        net::Address(dst));
     }
@@ -447,36 +396,29 @@ void Scenario::run() {
   // how long the run took on the host, is reported as wall_seconds, and
   // never feeds an event time, a seed, or a routing decision.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
-  if (sharded_) {
-    sharded_->run_until(horizon);
-  } else {
-    sim_.run_until(horizon);
-  }
+  engine_->run_until(horizon);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
   // A run cut short by supervision produced a truncated trace, not a
   // measurement: surface the structured reason, never partial metrics.
-  const sim::Simulator::AbortReason reason =
-      sharded_ ? sharded_->abort_reason() : sim_.abort_reason();
-  const std::uint64_t budget =
-      sharded_ ? sharded_->event_budget() : sim_.event_budget();
-  switch (reason) {
+  switch (engine_->abort_reason()) {
     case sim::Simulator::AbortReason::kNone:
       break;
     case sim::Simulator::AbortReason::kEventBudget:
       throw RunAborted(FailureKind::kEventBudgetExhausted,
-                       "event budget (" + std::to_string(budget) +
+                       "event budget (" + std::to_string(engine_->event_budget()) +
                            " events) exhausted at t=" +
-                           std::to_string(engine_now().to_seconds()) + "s");
+                           std::to_string(engine_->now().to_seconds()) + "s");
     case sim::Simulator::AbortReason::kCancelled:
       throw RunAborted(FailureKind::kDeadlineExceeded,
                        "cancelled by the run supervisor at t=" +
-                           std::to_string(engine_now().to_seconds()) + "s");
+                           std::to_string(engine_->now().to_seconds()) + "s");
   }
-  if (sharded_) {
-    // Fold the per-region registries into the classic one so metrics()
-    // and flows() read the same structure either way.
-    for (const auto& rr : region_registries_) registry_.merge_from(*rr);
+  // Fold regions 1.. into region 0's registry, which metrics() and
+  // flows() read. Records are keyed by flow id, so the fold order
+  // cannot matter.
+  for (std::size_t r = 1; r < registries_.size(); ++r) {
+    registries_.front()->merge_from(*registries_[r]);
   }
   ran_ = true;
 }
@@ -486,18 +428,18 @@ RunMetrics Scenario::metrics() const {
   RunMetrics m;
   m.seed = cfg_.seed;
   m.wall_seconds = wall_seconds_;
-  m.sim_event_count = static_cast<double>(
-      sharded_ ? sharded_->events_executed() : sim_.events_executed());
+  m.sim_event_count = static_cast<double>(engine_->events_executed());
   m.check_violations = core::check_violations() - check_violations_before_;
+  const traffic::FlowRegistry& registry = flows();
 
-  m.data_sent = registry_.total_sent();
-  m.data_delivered = registry_.total_delivered();
-  m.pdr = registry_.aggregate_pdr();
-  m.mean_delay_ms = registry_.mean_delay_s() * 1e3;
-  m.mean_jitter_ms = registry_.mean_jitter_s() * 1e3;
+  m.data_sent = registry.total_sent();
+  m.data_delivered = registry.total_delivered();
+  m.pdr = registry.aggregate_pdr();
+  m.mean_delay_ms = registry.mean_delay_s() * 1e3;
+  m.mean_jitter_ms = registry.mean_jitter_s() * 1e3;
   const double traffic_s = cfg_.traffic_time.to_seconds();
   m.throughput_kbps =
-      static_cast<double>(registry_.total_delivered_bytes()) * 8.0 / traffic_s /
+      static_cast<double>(registry.total_delivered_bytes()) * 8.0 / traffic_s /
       1e3;
 
   double busy_sum = 0.0;
@@ -540,7 +482,7 @@ RunMetrics Scenario::metrics() const {
   }
   m.mean_node_energy_j = m.total_energy_j / static_cast<double>(nodes_.size());
   const double delivered_kbit =
-      static_cast<double>(registry_.total_delivered_bytes()) * 8.0 / 1e3;
+      static_cast<double>(registry.total_delivered_bytes()) * 8.0 / 1e3;
   if (delivered_kbit > 0.0) {
     m.energy_mj_per_kbit = m.total_energy_j * 1e3 / delivered_kbit;
   }
@@ -559,7 +501,7 @@ RunMetrics Scenario::metrics() const {
   if (!gateways_.empty()) {
     m.gateway_count = gateways_.size();
     m.per_gateway_delivered.assign(gateways_.size(), 0.0);
-    const auto flow_snapshot = registry_.snapshot();
+    const auto flow_snapshot = registry.snapshot();
     for (std::size_t g = 0; g < gateways_.size(); ++g) {
       const net::Address addr(gateways_[g]);
       for (const auto& f : flow_snapshot) {
@@ -586,10 +528,10 @@ RunMetrics Scenario::metrics() const {
     m.fault_crashes = fc.crashes;
     m.fault_rejoins = fc.rejoins;
     m.fault_blackouts = fc.blackouts;
-    m.fault_downtime_s = faults->total_node_downtime(engine_now()).to_seconds();
+    m.fault_downtime_s = faults->total_node_downtime(engine_->now()).to_seconds();
 
-    m.sent_during_outage = registry_.sent_during_outage();
-    m.delivered_during_outage = registry_.delivered_during_outage();
+    m.sent_during_outage = registry.sent_during_outage();
+    m.delivered_during_outage = registry.delivered_during_outage();
     if (m.sent_during_outage > 0) {
       m.pdr_during_outage = static_cast<double>(m.delivered_during_outage) /
                             static_cast<double>(m.sent_during_outage);
@@ -620,7 +562,7 @@ RunMetrics Scenario::metrics() const {
     const sim::Time traffic_end = cfg_.warmup + cfg_.traffic_time;
     const sim::Time slack =
         std::min(cfg_.traffic_time.scaled(0.25), sim::Time::seconds(10.0));
-    for (const auto& f : registry_.snapshot()) {
+    for (const auto& f : registry.snapshot()) {
       if (f.sent == 0) continue;
       if (!f.any_delivered || f.last_delivery < traffic_end - slack) {
         ++m.flows_stranded;

@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <fstream>
 
+#include "core/check.hpp"
+
 namespace wmn::exp {
 
 TimeseriesProbe::TimeseriesProbe(Scenario& scenario, sim::Time interval,
                                  sim::Time start)
     : scenario_(scenario), interval_(interval) {
+  // A sample reads every node from region 0's calendar, which in a
+  // multi-region run executes beside the other regions' workers.
+  WMN_CHECK_EQ(scenario_.sharded_engine()->region_count(), 1u,
+               "time series sampling needs a one-region run");
   scenario_.simulator().schedule_at(start, [this] { sample(); });
 }
 

@@ -2,7 +2,10 @@
 // during a run, for time-resolved plots (congestion onset, recovery
 // after mobility events) and for exporting simulation traces.
 //
-// Attach before Scenario::run(); read or export after.
+// Attach before Scenario::run(); read or export after. The probe
+// samples on the scenario's one simulator, so it needs a one-region run
+// (the constructor WMN_CHECKs it): a plain run, or an intra_run_shards
+// run that downgraded to one region.
 #pragma once
 
 #include <string>

@@ -393,9 +393,15 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
                                          const net::Packet& packet,
                                          sim::Time duration, sim::Time now,
                                          mobility::Vec2 tx_pos) {
+  // A receiver the fault overlay has down is a fault drop wherever it
+  // stands, so it is counted before any distance or floor test.
   batch_.clear();
   for (WifiPhy* rx : radios_) {
     if (rx == &src) continue;
+    if (fault_ != nullptr && !fault_->node_up(rx->node_id(), now)) {
+      ++counters_.copies_dropped_fault;
+      continue;
+    }
     batch_.push(rx->position(now), rx->node_id(),
                 rx->channel_index());
   }
@@ -405,9 +411,10 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
   // inversion at the minimum attached floor — the same proof the
   // spatial index culls with. Every pair farther out is provably below
   // every receiver's floor, so it can be floor-accounted without
-  // paying the model's transcendentals. (The > 0.05 guard keeps the
-  // proof exact where the distance floor could round a degenerate
-  // range up.)
+  // paying the model's transcendentals. A fault overlay's link loss is
+  // >= 0, so it only pushes such a pair further down. (The > 0.05 guard
+  // keeps the proof exact where the distance floor could round a
+  // degenerate range up.)
   const double r = radio_range_m_[src.channel_index()];
   std::size_t n = batch_.size();
   if (std::isfinite(r) && r > 0.05) {
@@ -428,41 +435,16 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
       *propagation_, src.config().tx_power_dbm, tx_pos, src.node_id(), batch_);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t rx = batch_.rx_index[i];
-    const double p_dbm = batch_.power_dbm[i];
+    double p_dbm = batch_.power_dbm[i];
+    if (fault_ != nullptr) {
+      p_dbm -= fault_->link_loss_db(src.node_id(), radios_[rx]->node_id(), now);
+    }
     if (p_dbm < radios_[rx]->config().detection_floor_dbm) {
       ++counters_.copies_dropped_floor;
       continue;
     }
     stage(rx, packet, p_dbm, dbm_to_mw(p_dbm),
           now + sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight),
-          duration);
-  }
-}
-
-void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
-                                          const net::Packet& packet,
-                                          sim::Time duration, sim::Time now,
-                                          mobility::Vec2 tx_pos) {
-  // Per-pair scalar walk: the overlay decides per receiver whether a
-  // drop is a fault drop or a floor drop, and that attribution (plus
-  // blackout attenuation) must see every pair in order.
-  for (WifiPhy* rx : radios_) {
-    if (rx == &src) continue;
-    const mobility::Vec2 rx_pos = rx->position(now);
-    double p_dbm = propagation_->rx_power_dbm(
-        src.config().tx_power_dbm, tx_pos, rx_pos, src.node_id(), rx->node_id());
-    if (!fault_->node_up(rx->node_id(), now)) {
-      ++counters_.copies_dropped_fault;
-      continue;
-    }
-    p_dbm -= fault_->link_loss_db(src.node_id(), rx->node_id(), now);
-    if (p_dbm < rx->config().detection_floor_dbm) {
-      ++counters_.copies_dropped_floor;
-      continue;
-    }
-    stage(rx->channel_index(), packet, p_dbm, dbm_to_mw(p_dbm),
-          now + sim::Time::seconds(link_distance_m(tx_pos, rx_pos) /
-                                   kSpeedOfLight),
           duration);
   }
 }
@@ -477,20 +459,16 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
   ++counters_.transmissions;
   const mobility::Vec2 tx_pos = src.position(now);
 
-  if (fault_ != nullptr) {
-    // With a fault overlay installed both batched paths stand down: the
-    // overlay's per-receiver attribution must see every pair.
-    transmit_fault_scan(src, packet, duration, now, tx_pos);
+  if (!ranges_valid_) refresh_ranges();
+  // The neighbour cache memoises fault-free budgets, so a fault overlay
+  // sends every transmission through the full scan, which applies it.
+  if (index_enabled_ && fault_ == nullptr) {
+    // Grid sizing needs the detection ranges, so refresh_ranges()
+    // must have run first.
+    if (index_ == nullptr) build_spatial_index();
+    transmit_indexed(src, packet, duration, now, tx_pos);
   } else {
-    if (!ranges_valid_) refresh_ranges();
-    if (index_enabled_) {
-      // Grid sizing needs the detection ranges, so refresh_ranges()
-      // must have run first.
-      if (index_ == nullptr) build_spatial_index();
-      transmit_indexed(src, packet, duration, now, tx_pos);
-    } else {
-      transmit_full_scan(src, packet, duration, now, tx_pos);
-    }
+    transmit_full_scan(src, packet, duration, now, tx_pos);
   }
   launch(packet, duration);
 }

@@ -42,8 +42,11 @@
 // examined in attach order, culled pairs are provably below the floor
 // and are bulk-accounted as copies_dropped_floor, and cached budgets
 // are the exact values the kernel would recompute. With a fault
-// overlay installed the channel reverts to the per-pair scan so the
-// overlay's counter attribution (fault vs floor drops) stays exact.
+// overlay installed every transmission takes the full scan, which
+// applies the overlay itself: a down receiver counts as
+// copies_dropped_fault before any distance test (even out of range),
+// and a blackout's link loss is subtracted before the floor test. The
+// neighbour cache stays fault-free.
 #pragma once
 
 #include <cstdint>
@@ -258,9 +261,6 @@ class WirelessChannel {
   void transmit_full_scan(const WifiPhy& src, const net::Packet& packet,
                           sim::Time duration, sim::Time now,
                           mobility::Vec2 tx_pos);
-  void transmit_fault_scan(const WifiPhy& src, const net::Packet& packet,
-                           sim::Time duration, sim::Time now,
-                           mobility::Vec2 tx_pos);
 
   sim::Simulator& sim_;
   std::unique_ptr<PropagationModel> propagation_;

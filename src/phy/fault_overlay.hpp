@@ -16,12 +16,16 @@
 //                         propagation model before the detection-floor
 //                         test.
 //
-// The serial fault::Injector answers from its live state; the sharded
-// engine's fault::FaultTimeline answers from frozen windows at `now`,
-// which is each region channel's own clock.
+// The fault model follows the scenario's region count. A one-region
+// run installs the live fault::Injector, which answers from its state
+// at its calendar's now. A multi-region run installs a
+// fault::FaultTimeline, which answers from frozen windows at `now`,
+// each region channel's own clock.
 //
-// With no overlay installed (the default) the hot path pays exactly one
-// null-pointer test per transmission — faults are zero-cost when off.
+// With an overlay installed the channel sends every transmission
+// through its batched full scan, which applies the overlay per
+// receiver. With none (the default) the spatial-index path never
+// consults it — faults are zero-cost when off.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "sim/sharded_simulator.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -108,13 +109,14 @@ ShardedSimulator::ShardedSimulator(std::uint64_t master_seed, std::uint32_t regi
   for (std::uint32_t r = 0; r < region_count; ++r) {
     regions_.push_back(std::make_unique<Simulator>(master_seed));
   }
-  workers_ = worker_threads == 0 ? 1 : worker_threads;
-  if (workers_ > region_count) workers_ = region_count;
+  workers_ = std::clamp(worker_threads, 1u, region_count);
   // More spin-barrier workers than hardware threads is strictly worse
   // than fewer (they evict each other mid-epoch); clamping is safe
   // because worker count is unobservable in event order.
-  const std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw > 0 && workers_ > hw) workers_ = hw;
+  if (workers_ > 1) {
+    const std::uint32_t hw = std::thread::hardware_concurrency();
+    if (hw > 0 && workers_ > hw) workers_ = hw;
+  }
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -155,17 +157,16 @@ void ShardedSimulator::split_budget() {
 
 bool ShardedSimulator::collect_aborts() {
   // Budget beats cancel: a budget trip is deterministic and callers
-  // map it to a typed abort; a cancel is external.
-  for (const auto& r : regions_) {
-    if (r->abort_reason() == Simulator::AbortReason::kEventBudget) {
-      abort_reason_ = Simulator::AbortReason::kEventBudget;
-      return true;
-    }
-  }
-  for (const auto& r : regions_) {
-    if (r->abort_reason() == Simulator::AbortReason::kCancelled) {
-      abort_reason_ = Simulator::AbortReason::kCancelled;
-      return true;
+  // map it to a typed abort; a cancel is external. The clock stops
+  // where the first aborted region's did.
+  for (const auto reason :
+       {Simulator::AbortReason::kEventBudget, Simulator::AbortReason::kCancelled}) {
+    for (const auto& r : regions_) {
+      if (r->abort_reason() == reason) {
+        abort_reason_ = reason;
+        now_ = r->now();
+        return true;
+      }
     }
   }
   return false;

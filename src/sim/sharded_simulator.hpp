@@ -25,7 +25,8 @@
 // With one region the same machinery runs fully inline, so shard-count
 // invariance degenerates to "the code runs once" — which is exactly
 // why downgrades (mobility, infinite range) are safe: one region is
-// the exact serial event semantics.
+// the exact serial event semantics. exp::Scenario runs every
+// configuration on this engine; its default is the one-region case.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +97,8 @@ class ShardedSimulator {
   // scenario horizon.
   void run_until(Time deadline);
 
+  // The last barrier; after an abort, the clock of the region that
+  // stopped (the first in region order).
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] std::uint64_t events_executed() const;
   [[nodiscard]] std::uint64_t events_pending() const;

@@ -81,5 +81,32 @@ TEST(TimeseriesProbe, CsvExportRoundTrips) {
   std::remove(path.c_str());
 }
 
+// A downgraded sharded run (mobility forces one region) still samples.
+TEST(TimeseriesProbe, OneRegionShardedRunSamples) {
+  ScenarioConfig cfg = probe_config();
+  cfg.mobility.max_speed_mps = 2.0;
+  cfg.intra_run_shards = 2;
+  Scenario s(cfg);
+  ASSERT_EQ(s.sharded_engine()->region_count(), 1u);
+  TimeseriesProbe probe(s, sim::Time::seconds(1.0));
+  s.run();
+  EXPECT_GE(probe.samples().size(), 12u);
+  EXPECT_GT(probe.samples().back().sent_cum, 0u);
+}
+
+// Sampling region 0 while other regions run on their workers would be
+// a data race, so a multi-region scenario is refused outright.
+TEST(TimeseriesProbeDeathTest, RefusesMultiRegionScenario) {
+  ScenarioConfig cfg = probe_config();
+  cfg.intra_run_shards = 2;
+  ASSERT_GT(Scenario(cfg).sharded_engine()->region_count(), 1u);
+  EXPECT_DEATH(
+      {
+        Scenario s(cfg);
+        TimeseriesProbe probe(s, sim::Time::seconds(1.0));
+      },
+      "one-region run");
+}
+
 }  // namespace
 }  // namespace wmn::exp
