@@ -161,10 +161,11 @@ class Packet {
   }
 
   // --- end-to-end metadata (set by the traffic layer, read by stats) --
+  // Wide members first, so FlowInfo packs to 24 B and a Packet to 64 B.
   struct FlowInfo {
-    std::uint32_t flow_id = 0;
     std::uint64_t seq = 0;
     sim::Time sent_at{};
+    std::uint32_t flow_id = 0;
     bool valid = false;
   };
   void set_flow_info(FlowInfo info) { flow_ = info; }
@@ -228,6 +229,10 @@ class Packet {
   PacketArena::Node* top_ = nullptr;
   FlowInfo flow_;
 };
+// Layout pin (LP64): every MAC queue entry, AODV buffer slot, arrival
+// lane and radio lock slot holds a Packet by value.
+static_assert(sizeof(void*) != 8 || sizeof(Packet) == 64,
+              "net::Packet handle no longer packs to 64 bytes");
 
 // Factory handing out process-unique packet uids within one simulation,
 // and owning the header arena those packets allocate from. The arena

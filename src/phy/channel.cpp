@@ -252,7 +252,9 @@ void WirelessChannel::sort_by_arrival(NeighborCache& nc) {
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&nc](std::uint32_t a, std::uint32_t b) {
-              if (nc.delay[a] != nc.delay[b]) return nc.delay[a] < nc.delay[b];
+              if (nc.delay_ns[a] != nc.delay_ns[b]) {
+                return nc.delay_ns[a] < nc.delay_ns[b];
+              }
               return nc.rx_index[a] < nc.rx_index[b];
             });
   const auto permute = [&order](auto& v) {
@@ -264,16 +266,15 @@ void WirelessChannel::sort_by_arrival(NeighborCache& nc) {
   permute(nc.rx_index);
   permute(nc.power_dbm);
   permute(nc.power_mw);
-  permute(nc.delay);
+  permute(nc.delay_ns);
 }
 
 void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
   NeighborCache& nc = neighbor_caches_[src_index];
   nc.rx_index.clear();
-  nc.is_cached.clear();
   nc.power_dbm.clear();
   nc.power_mw.clear();
-  nc.delay.clear();
+  nc.delay_ns.clear();
   nc.culled = 0;
   nc.n_live = 0;
   const WifiPhy& src = *radios_[src_index];
@@ -310,17 +311,18 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
         ++nc.culled;
         continue;
       }
+      const std::int64_t delay = sim::Time::seconds(dist / kSpeedOfLight).ns();
+      WMN_CHECK(delay >= 0 && delay < NeighborCache::kLiveDelay,
+                "propagation delay does not fit the neighbour cache");
       nc.rx_index.push_back(i);
-      nc.is_cached.push_back(1);
       nc.power_dbm.push_back(p_dbm);
       nc.power_mw.push_back(dbm_to_mw(p_dbm));
-      nc.delay.push_back(sim::Time::seconds(dist / kSpeedOfLight));
+      nc.delay_ns.push_back(static_cast<std::uint32_t>(delay));
     } else {
       nc.rx_index.push_back(i);
-      nc.is_cached.push_back(0);
       nc.power_dbm.push_back(0.0);
       nc.power_mw.push_back(0.0);
-      nc.delay.push_back(sim::Time{});
+      nc.delay_ns.push_back(NeighborCache::kLiveDelay);
       ++nc.n_live;
     }
   }
@@ -352,7 +354,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
     // conversions, no sort.
     for (std::size_t i = 0; i < n; ++i) {
       stage(nc.rx_index[i], packet, nc.power_dbm[i], nc.power_mw[i],
-            now + nc.delay[i], duration);
+            now + sim::Time::nanos(nc.delay_ns[i]), duration);
     }
     return;
   }
@@ -362,7 +364,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   // the full scan visits; launch() sorts the lane).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (nc.is_cached[i] == 0) {
+    if (nc.delay_ns[i] == NeighborCache::kLiveDelay) {
       const std::uint32_t r = nc.rx_index[i];
       batch_.push(radios_[r]->position(now), radios_[r]->node_id(), r);
     }
@@ -372,9 +374,9 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t rx = nc.rx_index[i];
-    if (nc.is_cached[i] != 0) {
-      stage(rx, packet, nc.power_dbm[i], nc.power_mw[i], now + nc.delay[i],
-            duration);
+    if (nc.delay_ns[i] != NeighborCache::kLiveDelay) {
+      stage(rx, packet, nc.power_dbm[i], nc.power_mw[i],
+            now + sim::Time::nanos(nc.delay_ns[i]), duration);
       continue;
     }
     const double p_dbm = batch_.power_dbm[cursor];

@@ -214,11 +214,13 @@ class WirelessChannel {
   // version, elements in ascending attach order. Memoised (pinned-
   // pair) entries carry the exact budget: power in dBm and mW plus the
   // propagation delay, all computed once at rebuild through the same
-  // kernel the live path uses. Live entries (a mobile endpoint) are
-  // re-evaluated per transmission; n_live == 0 (the static-mesh common
-  // case) enables the branch-free fast loop, and such a cache is kept
-  // in (delay, attach) order instead — arrival order, so its
-  // transmissions fill their lanes already sorted.
+  // kernel the live path uses. The delay is kept as whole nanoseconds
+  // (sim::Time's own unit, so the narrowing is exact); kLiveDelay marks
+  // a live entry (a mobile endpoint), re-evaluated per transmission.
+  // n_live == 0 (the static-mesh common case) enables the branch-free
+  // fast loop, and such a cache is kept in (delay, attach) order
+  // instead — arrival order, so its transmissions fill their lanes
+  // already sorted.
   //
   // `culled` counts receivers provably below the detection floor for
   // this version (out of range, or a pinned pair whose exact cached
@@ -226,23 +228,30 @@ class WirelessChannel {
   // copies_dropped_floor per transmission so the counter matches the
   // full scan exactly.
   struct NeighborCache {
+    static constexpr std::uint32_t kLiveDelay = 0xFFFFFFFFu;
+
     std::uint64_t built_version = ~std::uint64_t{0};
     std::uint64_t culled = 0;
     std::uint32_t n_live = 0;
     std::vector<std::uint32_t> rx_index;
-    std::vector<std::uint8_t> is_cached;  // 1 = memoised budget below
     std::vector<double> power_dbm;
     std::vector<double> power_mw;
-    std::vector<sim::Time> delay;
+    std::vector<std::uint32_t> delay_ns;  // kLiveDelay = live entry
 
     [[nodiscard]] std::size_t memory_bytes() const {
       return rx_index.capacity() * sizeof(std::uint32_t) +
-             is_cached.capacity() +
              power_dbm.capacity() * sizeof(double) +
              power_mw.capacity() * sizeof(double) +
-             delay.capacity() * sizeof(sim::Time);
+             delay_ns.capacity() * sizeof(std::uint32_t);
     }
   };
+  // Layout pin: one candidate costs 24 B across the four arrays.
+  static_assert(sizeof(decltype(NeighborCache::rx_index)::value_type) +
+                        sizeof(decltype(NeighborCache::power_dbm)::value_type) +
+                        sizeof(decltype(NeighborCache::power_mw)::value_type) +
+                        sizeof(decltype(NeighborCache::delay_ns)::value_type) ==
+                    24,
+                "a neighbour-cache candidate no longer costs 24 bytes");
 
   // Queue receiver `rx` (attach index) for the lane being filled, or
   // post it to the shard router when it is homed in another region.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/check.hpp"
+#include "routing/flat_growth.hpp"
 
 namespace wmn::routing {
 
@@ -59,11 +60,10 @@ AodvAgent::~AodvAgent() { cancel_all_timers(); }
 void AodvAgent::cancel_all_timers() {
   sim_.cancel(hello_timer_);
   sim_.cancel(housekeeping_timer_);
+  for (const RreqSlot& slot : rreq_cache_) sim_.cancel(slot.rec.timer);
   // Cancel is per-timer and idempotent; no event is scheduled or sent,
   // so the unordered visit order is unobservable.
   // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [key, rec] : rreq_cache_) sim_.cancel(rec.timer);
-  // NOLINTNEXTLINE(wmn-unordered-iteration): same argument as above.
   for (auto& [dest, d] : discoveries_) sim_.cancel(d.timer);
 }
 
@@ -342,15 +342,13 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
                cfg_.active_route_timeout);
 
   const RreqKey key = make_key(hdr.origin, hdr.rreq_id);
-  auto it = rreq_cache_.find(key);
-  if (it != rreq_cache_.end()) {
+  if (RreqRecord* seen = find_rreq(key); seen != nullptr) {
     ++counters_.rreq_duplicates;
-    RreqRecord& rec = it->second;
-    ++rec.copies;
+    ++seen->copies;
     // A destination collecting copies considers this one too. Every
     // copy of a key names the same destination, so a destination's
     // armed timer is always its reply wait.
-    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.timer)) {
+    if (self_ == hdr.dest && !seen->replied && sim_.pending(seen->timer)) {
       auto best = rreq_pending_.find(key);
       WMN_CHECK(best != rreq_pending_.end(),
                 "armed reply wait without a pending RREQ copy");
@@ -371,12 +369,12 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
     const sim::Time wait = selection_->reply_wait();
     if (wait.is_zero()) {
       rec.replied = true;
-      rreq_cache_.emplace(key, rec);
+      insert_rreq(key, rec);
       send_rrep_as_destination(hdr, RouteCandidate{path_load, hdr.hop_count});
     } else {
       rec.timer =
           sim_.schedule(wait, [this, key] { destination_reply_due(key); });
-      rreq_cache_.emplace(key, rec);
+      insert_rreq(key, rec);
       rreq_pending_.emplace(key, PendingRreq{hdr, path_load});
     }
     return;
@@ -389,7 +387,7 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
         (hdr.unknown_dest_seqno ||
          seqno_newer_or_equal(r->dest_seqno, hdr.dest_seqno))) {
       rec.forward_decided = true;
-      rreq_cache_.emplace(key, rec);
+      insert_rreq(key, rec);
       ++counters_.rrep_intermediate;
       send_rrep_from_cache(hdr, *r);
       return;
@@ -398,7 +396,7 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   if (hdr.ttl <= 1) {
     rec.forward_decided = true;
-    rreq_cache_.emplace(key, rec);
+    insert_rreq(key, rec);
     return;
   }
 
@@ -411,25 +409,36 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   const RebroadcastDecision dec = rebroadcast_->decide(ctx, rng_);
   switch (dec.action) {
-    case RebroadcastAction::kForward: {
+    case RebroadcastAction::kForward:
       rec.forward_decided = true;
-      auto [pos, inserted] = rreq_cache_.emplace(key, rec);
-      WMN_CHECK(inserted, "RREQ record already cached on first copy");
-      pos->second.timer = sim_.schedule(
+      rec.timer = sim_.schedule(
           dec.delay, [this, hdr, path_load] { forward_rreq(hdr, path_load); });
+      insert_rreq(key, rec);
       break;
-    }
     case RebroadcastAction::kDrop:
       rec.forward_decided = true;
       ++counters_.rreq_suppressed;
-      rreq_cache_.emplace(key, rec);
+      insert_rreq(key, rec);
       break;
     case RebroadcastAction::kDefer:
       rec.timer = sim_.schedule(dec.delay, [this, key] { finish_defer(key); });
-      rreq_cache_.emplace(key, rec);
+      insert_rreq(key, rec);
       rreq_pending_.emplace(key, PendingRreq{hdr, path_load});
       break;
   }
+}
+
+AodvAgent::RreqRecord* AodvAgent::find_rreq(RreqKey key) {
+  const auto it = std::lower_bound(rreq_cache_.begin(), rreq_cache_.end(), key);
+  return it != rreq_cache_.end() && it->key == key ? &it->rec : nullptr;
+}
+
+void AodvAgent::insert_rreq(RreqKey key, const RreqRecord& rec) {
+  const auto it = std::lower_bound(rreq_cache_.begin(), rreq_cache_.end(), key);
+  WMN_CHECK(it == rreq_cache_.end() || it->key != key,
+            "RREQ record already cached on first copy");
+  flat_insert(rreq_cache_, static_cast<std::size_t>(it - rreq_cache_.begin()),
+              RreqSlot{key, rec});
 }
 
 std::optional<AodvAgent::PendingRreq> AodvAgent::take_pending(RreqKey key) {
@@ -442,18 +451,16 @@ std::optional<AodvAgent::PendingRreq> AodvAgent::take_pending(RreqKey key) {
 
 void AodvAgent::finish_defer(RreqKey key) {
   const std::optional<PendingRreq> pending = take_pending(key);
-  auto it = rreq_cache_.find(key);
-  if (!pending || it == rreq_cache_.end()) return;
-  RreqRecord& rec = it->second;
-  if (rec.forward_decided) return;
-  rec.forward_decided = true;
+  RreqRecord* rec = find_rreq(key);
+  if (!pending || rec == nullptr || rec->forward_decided) return;
+  rec->forward_decided = true;
 
   RebroadcastContext ctx;
   ctx.hop_count = pending->hdr.hop_count;
   ctx.neighbor_count = neighbors_.count();
   ctx.own_load = load_->load_index();
   ctx.neighbourhood_load = neighbourhood_load();
-  ctx.duplicates_seen = rec.copies - 1;
+  ctx.duplicates_seen = rec->copies - 1;
 
   if (rebroadcast_->assess(ctx, rng_)) {
     forward_rreq(pending->hdr, pending->path_load);
@@ -478,11 +485,9 @@ void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
 
 void AodvAgent::destination_reply_due(RreqKey key) {
   const std::optional<PendingRreq> best = take_pending(key);
-  auto it = rreq_cache_.find(key);
-  if (!best || it == rreq_cache_.end()) return;
-  RreqRecord& rec = it->second;
-  if (rec.replied) return;
-  rec.replied = true;
+  RreqRecord* rec = find_rreq(key);
+  if (!best || rec == nullptr || rec->replied) return;
+  rec->replied = true;
   send_rrep_as_destination(best->hdr,
                            RouteCandidate{best->path_load, best->hdr.hop_count});
 }
@@ -971,22 +976,17 @@ void AodvAgent::handle_hello(net::Packet packet, net::Address src) {
 void AodvAgent::housekeeping() {
   routes_.purge(now(), cfg_.dead_route_retention);
 
-  // The four purge loops below erase entries judged independently
+  // Expired RREQ records. A record with an armed timer stays until the
+  // timer has fired: its handler still looks the record up.
+  std::erase_if(rreq_cache_, [this](const RreqSlot& slot) {
+    return !sim_.pending(slot.rec.timer) &&
+           slot.rec.first_seen + cfg_.rreq_cache_timeout <= now();
+  });
+
+  // The three purge loops below erase entries judged independently
   // against `now` (plus integer counter bumps): the surviving state is
   // identical for any visit order and nothing is scheduled or sent, so
   // unordered iteration cannot leak hash layout into the event stream.
-
-  // Expired RREQ records.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = rreq_cache_.begin(); it != rreq_cache_.end();) {
-    const RreqRecord& rec = it->second;
-    if (!sim_.pending(rec.timer) &&
-        rec.first_seen + cfg_.rreq_cache_timeout <= now()) {
-      it = rreq_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 
   // Expired blacklist entries.
   // NOLINTNEXTLINE(wmn-unordered-iteration)
@@ -1059,7 +1059,7 @@ std::size_t AodvAgent::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += routes_.memory_bytes() - sizeof(RouteTable);
   bytes += neighbors_.memory_bytes() - sizeof(NeighborTable);
-  bytes += umap_bytes(rreq_cache_);
+  bytes += rreq_cache_.capacity() * sizeof(RreqSlot);
   bytes += umap_bytes(rreq_pending_);
   bytes += umap_bytes(discoveries_);
   bytes += umap_bytes(buffers_);

@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "mac/dcf_mac.hpp"
 #include "net/address.hpp"
@@ -190,10 +191,16 @@ class AodvAgent {
     return rreq_pending_.size();
   }
 
+  // RREQ duplicate-cache records held, and slots allocated for them.
+  [[nodiscard]] std::size_t rreq_records() const { return rreq_cache_.size(); }
+  [[nodiscard]] std::size_t rreq_slots() const {
+    return rreq_cache_.capacity();
+  }
+
  private:
   struct RreqKey {
     std::uint64_t v;
-    bool operator==(const RreqKey&) const = default;
+    auto operator<=>(const RreqKey&) const = default;
   };
   struct RreqKeyHash {
     std::size_t operator()(const RreqKey& k) const noexcept {
@@ -221,6 +228,15 @@ class AodvAgent {
   // last rreq_cache_timeout, the bulk of the agent's bytes_per_node.
   static_assert(sizeof(void*) != 8 || sizeof(RreqRecord) <= 24,
                 "RreqRecord outgrew its 24-byte budget");
+
+  // One slot of the flat duplicate cache: the key beside its record.
+  struct RreqSlot {
+    RreqKey key;
+    RreqRecord rec;
+    friend bool operator<(const RreqSlot& s, RreqKey k) { return s.key < k; }
+  };
+  static_assert(sizeof(void*) != 8 || sizeof(RreqSlot) == 32,
+                "RREQ cache slot no longer packs to 32 bytes");
 
   // The copy a decision window holds, kept in rreq_pending_ only while
   // the record's kDefer or destination-reply timer is armed: the header
@@ -274,6 +290,11 @@ class AodvAgent {
   // Removes and returns the decision window's copy; the record's timer
   // is firing, so the window is closed.
   [[nodiscard]] std::optional<PendingRreq> take_pending(RreqKey key);
+  // The cached record for `key`, or null. Good until the next insert or
+  // purge of the cache.
+  [[nodiscard]] RreqRecord* find_rreq(RreqKey key);
+  // Cache the first copy's record; `key` must not be cached yet.
+  void insert_rreq(RreqKey key, const RreqRecord& rec);
 
   // --- routes -----------------------------------------------------------
   // Update the route to `dest` from evidence (seqno, candidate, via).
@@ -332,7 +353,10 @@ class AodvAgent {
   std::uint32_t rreq_id_ = 0;
   std::uint32_t hello_seqno_ = 0;
 
-  std::unordered_map<RreqKey, RreqRecord, RreqKeyHash> rreq_cache_;
+  // Sorted by key, unique, grown ~1.25x (routing/flat_growth.hpp): 32 B
+  // per record at capacity. Every walk over it (purge, timer cancels)
+  // treats each slot on its own, so no order escapes.
+  std::vector<RreqSlot> rreq_cache_;
   // Open decision windows only (see PendingRreq); never iterated.
   std::unordered_map<RreqKey, PendingRreq, RreqKeyHash> rreq_pending_;
   std::unordered_map<net::Address, Discovery> discoveries_;

@@ -3,24 +3,30 @@
 #include <algorithm>
 
 #include "core/check.hpp"
+#include "routing/flat_growth.hpp"
 
 namespace wmn::routing {
 
-const RouteEntry* RouteTable::lookup(net::Address dest, sim::Time now) {
-  auto it = table_.find(dest);
-  if (it == table_.end()) return nullptr;
-  RouteEntry& e = it->second;
-  if (e.state == RouteState::kValid && e.expires <= now) {
-    e.state = RouteState::kInvalid;
-    // Hold the dead entry for its seqno; purge() reclaims it later.
-    e.expires = now;
-  }
-  return e.state == RouteState::kValid ? &e : nullptr;
+std::vector<RouteEntry>::iterator RouteTable::lower(net::Address dest) {
+  return std::lower_bound(
+      table_.begin(), table_.end(), dest,
+      [](const RouteEntry& e, net::Address d) { return e.dest < d; });
 }
 
 RouteEntry* RouteTable::find(net::Address dest) {
-  auto it = table_.find(dest);
-  return it == table_.end() ? nullptr : &it->second;
+  const auto it = lower(dest);
+  return it != table_.end() && it->dest == dest ? &*it : nullptr;
+}
+
+const RouteEntry* RouteTable::lookup(net::Address dest, sim::Time now) {
+  RouteEntry* e = find(dest);
+  if (e == nullptr) return nullptr;
+  if (e->state == RouteState::kValid && e->expires <= now) {
+    e->state = RouteState::kInvalid;
+    // Hold the dead entry for its seqno; purge() reclaims it later.
+    e->expires = now;
+  }
+  return e->state == RouteState::kValid ? e : nullptr;
 }
 
 RouteEntry& RouteTable::upsert(const RouteEntry& entry) {
@@ -35,61 +41,52 @@ RouteEntry& RouteTable::upsert(const RouteEntry& entry) {
     WMN_CHECK_GE(entry.hop_count, std::uint8_t{1},
                  "a valid route spans at least one hop");
   }
-  return table_[entry.dest] = entry;
+  const auto it = lower(entry.dest);
+  if (it != table_.end() && it->dest == entry.dest) return *it = entry;
+  return flat_insert(table_, static_cast<std::size_t>(it - table_.begin()),
+                     entry);
 }
 
 void RouteTable::touch(net::Address dest, sim::Time expires) {
-  auto it = table_.find(dest);
-  if (it == table_.end() || it->second.state != RouteState::kValid) return;
-  if (it->second.expires < expires) it->second.expires = expires;
+  RouteEntry* e = find(dest);
+  if (e == nullptr || e->state != RouteState::kValid) return;
+  if (e->expires < expires) e->expires = expires;
 }
 
 std::optional<RouteEntry> RouteTable::invalidate(net::Address dest,
                                                  sim::Time now) {
-  auto it = table_.find(dest);
-  if (it == table_.end() || it->second.state != RouteState::kValid) {
-    return std::nullopt;
-  }
-  RouteEntry& e = it->second;
-  e.state = RouteState::kInvalid;
+  RouteEntry* e = find(dest);
+  if (e == nullptr || e->state != RouteState::kValid) return std::nullopt;
+  e->state = RouteState::kInvalid;
   // RFC 3561 section 6.11: increment the seqno of an invalidated route.
-  if (e.valid_seqno) ++e.dest_seqno;
-  e.expires = now;
-  return e;
+  if (e->valid_seqno) ++e->dest_seqno;
+  e->expires = now;
+  return *e;
 }
 
 std::vector<net::Address> RouteTable::dests_via(net::Address via, sim::Time now) {
+  // The result feeds RERR destination lists — wire-visible packet
+  // contents — so its order must be a function of the table's logical
+  // content. The table is sorted by dest, so the walk already is.
   std::vector<net::Address> out;
-  // Collection order is normalised by the sort below; nothing escapes
-  // in hash order.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [dest, e] : table_) {
+  for (const RouteEntry& e : table_) {
     if (e.state == RouteState::kValid && e.expires > now && e.next_hop == via) {
-      out.push_back(dest);
+      out.push_back(e.dest);
     }
   }
-  // The result feeds RERR destination lists — wire-visible packet
-  // contents — so its order must be a function of the table's *logical*
-  // content, not of unordered_map bucket layout (which depends on
-  // reserve/rehash history and would couple the event stream to the
-  // standard library's hash internals).
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 void RouteTable::add_precursor(net::Address dest, net::Address precursor) {
-  auto it = table_.find(dest);
-  if (it == table_.end()) return;
-  auto& prec = it->second.precursors;
+  RouteEntry* e = find(dest);
+  if (e == nullptr) return;
+  auto& prec = e->precursors;
   const auto pos = std::lower_bound(prec.begin(), prec.end(), precursor);
   if (pos == prec.end() || *pos != precursor) prec.insert(pos, precursor);
 }
 
 void RouteTable::remove_precursor(net::Address precursor) {
-  // Erasing one key from every per-entry list is commutative: the final
-  // state is identical for any visit order and no events are emitted.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [dest, e] : table_) {
+  for (RouteEntry& e : table_) {
     const auto pos =
         std::lower_bound(e.precursors.begin(), e.precursors.end(), precursor);
     if (pos != e.precursors.end() && *pos == precursor) {
@@ -99,39 +96,31 @@ void RouteTable::remove_precursor(net::Address precursor) {
 }
 
 std::size_t RouteTable::memory_bytes() const {
-  std::size_t bytes = sizeof(*this) + table_.bucket_count() * sizeof(void*);
-  // libstdc++ node overhead: hash node = value + next pointer + cached
-  // hash; 16 bytes is the measured per-node cost on LP64.
-  using Node = std::pair<const net::Address, RouteEntry>;
-  bytes += table_.size() * (sizeof(Node) + 16);
-  // NOLINTNEXTLINE(wmn-unordered-iteration) — pure accumulation
-  for (const auto& [dest, e] : table_) {
+  std::size_t bytes = sizeof(*this) + table_.capacity() * sizeof(RouteEntry);
+  for (const RouteEntry& e : table_) {
     bytes += e.precursors.capacity() * sizeof(net::Address);
   }
   return bytes;
 }
 
 void RouteTable::purge(sim::Time now, sim::Time dead_retention) {
-  // Per-entry expiry test + erase; entries are judged independently
-  // against `now`, so the visit order cannot change the surviving set,
-  // and nothing here schedules events or sends packets.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = table_.begin(); it != table_.end();) {
-    const RouteEntry& e = it->second;
-    const bool expired_valid =
-        e.state == RouteState::kValid && e.expires <= now;
-    if (expired_valid) {
-      it->second.state = RouteState::kInvalid;
-      it->second.expires = now;
-      ++it;
+  // Each entry is judged on its own against `now`: an expired valid
+  // route turns invalid (and is held for dead_retention from now), an
+  // invalid one past its retention is dropped. The survivors keep
+  // their dest order.
+  auto keep = table_.begin();
+  for (auto it = table_.begin(); it != table_.end(); ++it) {
+    if (it->state == RouteState::kValid && it->expires <= now) {
+      it->state = RouteState::kInvalid;
+      it->expires = now;
+    } else if (it->state == RouteState::kInvalid &&
+               it->expires + dead_retention <= now) {
       continue;
     }
-    if (e.state == RouteState::kInvalid && e.expires + dead_retention <= now) {
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+    if (keep != it) *keep = std::move(*it);
+    ++keep;
   }
+  table_.erase(keep, table_.end());
 }
 
 }  // namespace wmn::routing

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -17,8 +16,9 @@ enum class RouteState : std::uint8_t { kValid, kInvalid };
 
 // Field order packs the entry to 56 bytes (wide members first, the
 // byte-sized flags sharing one tail word) — at 400+ nodes the route
-// tables are the largest per-node structure, so the layout is part of
-// the bytes_per_node budget.
+// tables are among the largest per-node structures, so the layout is
+// part of the bytes_per_node budget. The table stores entries flat and
+// keyed by their own `dest`, so 56 B is the whole per-route cost.
 struct RouteEntry {
   double metric = 0.0;          // accumulated path metric (CLNLR load)
   sim::Time expires{};          // entry dies (or goes stale) at this time
@@ -60,7 +60,8 @@ class RouteTable {
   // entry, if one existed and was valid.
   std::optional<RouteEntry> invalidate(net::Address dest, sim::Time now);
 
-  // All valid routes whose next hop is `via` (link-break handling).
+  // All valid routes whose next hop is `via`, in ascending dest order
+  // (link-break handling).
   [[nodiscard]] std::vector<net::Address> dests_via(net::Address via,
                                                     sim::Time now);
 
@@ -72,6 +73,7 @@ class RouteTable {
   void remove_precursor(net::Address precursor);
 
   [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return table_.capacity(); }
 
   // Drop long-dead invalid entries (housekeeping; called by the agent's
   // periodic timer).
@@ -80,12 +82,19 @@ class RouteTable {
   // Forget everything (node crash: a rebooted router has no table).
   void clear() { table_.clear(); }
 
-  // Dynamic footprint (buckets + entries + precursor storage) — feeds
-  // the bytes_per_node bench counter.
+  // Dynamic footprint (entry slots at capacity + precursor storage) —
+  // feeds the bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  std::unordered_map<net::Address, RouteEntry> table_;
+  // First entry whose dest is not below `dest`.
+  [[nodiscard]] std::vector<RouteEntry>::iterator lower(net::Address dest);
+
+  // Sorted by dest, unique, grown ~1.25x (routing/flat_growth.hpp).
+  // Every walk over it is in dest order — the order dests_via() hands
+  // to RERRs — so no result depends on insertion history. Upsert and
+  // purge move entries: a RouteEntry* is only good until the next one.
+  std::vector<RouteEntry> table_;
 };
 
 }  // namespace wmn::routing

@@ -43,7 +43,10 @@ void CbrSource::emit() {
   timer_ = sim::EventId{};
   if (sim_.now() >= cfg_.stop) return;
   net::Packet pkt = factory_.make(cfg_.packet_bytes, sim_.now());
-  pkt.set_flow_info(net::Packet::FlowInfo{cfg_.flow_id, ++seq_, sim_.now(), true});
+  pkt.set_flow_info(net::Packet::FlowInfo{.seq = ++seq_,
+                                          .sent_at = sim_.now(),
+                                          .flow_id = cfg_.flow_id,
+                                          .valid = true});
   registry_.record_sent(cfg_.flow_id, cfg_.packet_bytes, sim_.now());
   agent_.send(std::move(pkt), cfg_.dest);
   const sim::Time next = tick_time(seq_);
@@ -107,7 +110,10 @@ void PoissonOnOffSource::emit() {
     return;
   }
   net::Packet pkt = factory_.make(cfg_.packet_bytes, sim_.now());
-  pkt.set_flow_info(net::Packet::FlowInfo{cfg_.flow_id, ++seq_, sim_.now(), true});
+  pkt.set_flow_info(net::Packet::FlowInfo{.seq = ++seq_,
+                                          .sent_at = sim_.now(),
+                                          .flow_id = cfg_.flow_id,
+                                          .valid = true});
   registry_.record_sent(cfg_.flow_id, cfg_.packet_bytes, sim_.now());
   agent_.send(std::move(pkt), cfg_.dest);
   ++burst_sent_;

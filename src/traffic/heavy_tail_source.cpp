@@ -69,7 +69,10 @@ void HeavyTailOnOffSource::emit() {
     return;
   }
   net::Packet pkt = factory_.make(cfg_.packet_bytes, sim_.now());
-  pkt.set_flow_info(net::Packet::FlowInfo{cfg_.flow_id, ++seq_, sim_.now(), true});
+  pkt.set_flow_info(net::Packet::FlowInfo{.seq = ++seq_,
+                                          .sent_at = sim_.now(),
+                                          .flow_id = cfg_.flow_id,
+                                          .valid = true});
   registry_.record_sent(cfg_.flow_id, cfg_.packet_bytes, sim_.now());
   agent_.send(std::move(pkt), cfg_.dest);
   ++burst_sent_;

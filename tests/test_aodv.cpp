@@ -11,6 +11,7 @@
 #include "mobility/mobility_model.hpp"
 #include "mobility/placement.hpp"
 #include "phy/channel.hpp"
+#include "routing/flat_growth.hpp"
 
 namespace wmn::routing {
 namespace {
@@ -593,6 +594,115 @@ TEST(AodvDecisionWindow, PendingCopiesLiveOnlyWhileTheirTimerIsArmed) {
   tb.sim.run_until(sim::Time::seconds(15.0));
   EXPECT_EQ(tb.delivered_at(3), 1u);
   EXPECT_EQ(tb.pending_rreqs(), 0u);
+}
+
+// --- RREQ duplicate cache -----------------------------------------------
+
+// Drops every RREQ except those that travelled exactly kSlowHops, which
+// it forwards after a long delay: their cache record keeps an armed
+// timer well past rreq_cache_timeout.
+class SlowForwardAtHopCount final : public RebroadcastPolicy {
+ public:
+  static constexpr std::uint8_t kSlowHops = 7;
+  RebroadcastDecision decide(const RebroadcastContext& ctx,
+                             sim::RngStream&) override {
+    if (ctx.hop_count == kSlowHops) {
+      return {RebroadcastAction::kForward, sim::Time::seconds(20.0)};
+    }
+    return {RebroadcastAction::kDrop, sim::Time{}};
+  }
+  [[nodiscard]] std::string name() const override { return "slow-at-hop"; }
+};
+
+TEST(AodvRreqCache, SuppressesDuplicatesAcrossGrowthAndMiddlePurge) {
+  // Node 0 broadcasts hand-made RREQs (fictional origin 50, unknown
+  // destination 77) to node 1, whose cache is under test. Cache keys
+  // sort by (origin, id), so ids 1000+ sit between ids 0+ and 2000+.
+  Policies p;
+  p.rebroadcast = [](std::size_t node) -> std::unique_ptr<RebroadcastPolicy> {
+    if (node == 1) return std::make_unique<SlowForwardAtHopCount>();
+    return std::make_unique<FloodPolicy>();
+  };
+  RoutingBed tb({{0, 0}, {100, 0}}, {}, 1, p);
+  AodvAgent& agent = *tb.agents[1];
+  const auto& c = agent.counters();
+  constexpr std::uint32_t kSlowId = 1050;
+
+  sim::Time at = sim::Time::seconds(1.0);
+  const auto inject = [&](std::uint32_t id) {
+    tb.sim.schedule(at - tb.sim.now(), [&tb, id] {
+      RreqHeader h;
+      h.rreq_id = id;
+      h.origin = net::Address(50);
+      h.origin_seqno = 1;
+      h.dest = net::Address(77);
+      h.hop_count = id == kSlowId ? SlowForwardAtHopCount::kSlowHops : 2;
+      h.ttl = 10;
+      net::Packet pkt = tb.factory.make(0, tb.sim.now());
+      pkt.push(h);
+      tb.macs[0]->enqueue(std::move(pkt), net::Address::broadcast());
+    });
+    at = at + sim::Time::millis(5.0);
+  };
+  // Sample the slot count every millisecond; injections are 5 ms apart,
+  // so every growth step is seen.
+  std::vector<std::size_t> slots{agent.rreq_slots()};
+  const auto sample_until = [&](sim::Time end) {
+    while (tb.sim.now() < end) {
+      tb.sim.run_until(tb.sim.now() + sim::Time::millis(1.0));
+      if (agent.rreq_slots() != slots.back()) {
+        slots.push_back(agent.rreq_slots());
+      }
+    }
+  };
+
+  // The middle block first, at t = 1 s.
+  for (std::uint32_t id = 1000; id < 1100; ++id) inject(id);
+  sample_until(sim::Time::seconds(2.0));
+  ASSERT_EQ(c.rreq_received, 100u);
+  ASSERT_EQ(agent.rreq_records(), 100u);
+
+  // Then both ends, interleaved, at t = 4 s.
+  at = sim::Time::seconds(4.0);
+  for (std::uint32_t k = 0; k < 100; ++k) {
+    inject(k);
+    inject(2000 + k);
+  }
+  sample_until(sim::Time::seconds(5.5));
+  ASSERT_EQ(c.rreq_received, 300u);
+  ASSERT_EQ(agent.rreq_records(), 300u);
+  // Many growth steps, each the flat ~1.25x one.
+  ASSERT_GE(slots.size(), 8u);
+  for (std::size_t i = 1; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], flat_grown_capacity(slots[i - 1])) << "step " << i;
+  }
+
+  // By t = 7.5 s housekeeping has purged the middle block (first seen
+  // ~1 s, 5 s timeout) except the record whose forward is still armed.
+  tb.sim.run_until(sim::Time::seconds(7.5));
+  EXPECT_EQ(agent.rreq_records(), 201u);
+  EXPECT_EQ(c.rreq_forwarded, 0u);
+
+  // Every surviving key is still a duplicate; purged keys are new again.
+  const std::uint64_t dups = c.rreq_duplicates;
+  at = sim::Time::seconds(7.5);
+  for (std::uint32_t k = 0; k < 100; k += 9) {
+    inject(k);
+    inject(2000 + k);
+  }
+  inject(kSlowId);
+  inject(1000);
+  inject(1099);
+  tb.sim.run_until(sim::Time::seconds(8.5));
+  EXPECT_EQ(c.rreq_duplicates - dups, 2u * 12u + 1u);
+  EXPECT_EQ(c.rreq_received, 302u);
+  EXPECT_EQ(agent.rreq_records(), 203u);
+
+  // The armed record forwards once its timer fires, then expires too.
+  tb.sim.run_until(sim::Time::seconds(25.0));
+  EXPECT_EQ(c.rreq_forwarded, 1u);
+  EXPECT_EQ(agent.rreq_records(), 0u);
+  EXPECT_EQ(agent.rreq_slots(), slots.back());
 }
 
 }  // namespace

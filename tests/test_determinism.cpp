@@ -377,6 +377,18 @@ TEST(Determinism, GoldenFingerprints) {
   }
 }
 
+// Footprint guard: bytes_per_node of the static golden run is a pure
+// function of the (config, seed) and the container layouts, so a
+// per-node state regression fails here without a perf run. 6,101 B on
+// LP64 libstdc++ with the sorted flat route and RREQ tables (6,729 B
+// with hash tables); the bound leaves ~5 % for standard-library drift.
+TEST(Determinism, GoldenRunFootprintBound) {
+  if (sizeof(void*) != 8) GTEST_SKIP() << "bound is for LP64 layouts";
+  exp::Scenario s(golden_config(42, core::Protocol::kClnlr));
+  s.run();
+  EXPECT_LE(s.bytes_per_node(), 6400u);
+}
+
 TEST(Determinism, FingerprintOrderSensitive) {
   sim::Fingerprint a;
   a.mix(std::uint64_t{1});

@@ -76,7 +76,10 @@ TEST(Packet, FlowInfoRoundTrip) {
   PacketFactory f;
   Packet p = f.make(512, sim::Time::seconds(1.0));
   EXPECT_FALSE(p.flow_info().valid);
-  p.set_flow_info(Packet::FlowInfo{9, 1234, sim::Time::seconds(2.0), true});
+  p.set_flow_info(Packet::FlowInfo{.seq = 1234,
+                                   .sent_at = sim::Time::seconds(2.0),
+                                   .flow_id = 9,
+                                   .valid = true});
   Packet copy = p;
   EXPECT_TRUE(copy.flow_info().valid);
   EXPECT_EQ(copy.flow_info().flow_id, 9u);
