@@ -8,13 +8,11 @@
 // pre-sized results vector, where each task writes exclusively to its
 // own slot.
 //
-// Two entry points:
-//   * parallel_try_map — the crash-safe primitive. Each task's outcome
-//     (value or captured exception) lands in its own TaskResult slot;
-//     a throwing task taints its slot instead of std::terminate-ing
-//     the process, so a multi-hour sweep finishes with partial results.
-//   * parallel_map     — the strict convenience wrapper: unwraps the
-//     values and rethrows the first captured exception in the caller.
+// parallel_try_map is crash-safe: each task's outcome (value or
+// captured exception) lands in its own TaskResult slot; a throwing
+// task taints its slot instead of std::terminate-ing the process, so a
+// multi-hour sweep finishes with partial results. The caller decides
+// the failure policy.
 //
 // Results are boxed in TaskResult even for bool-returning callables:
 // a plain std::vector<bool> would pack results into shared words and
@@ -30,7 +28,6 @@
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "exp/pool.hpp"
@@ -98,28 +95,6 @@ auto parallel_try_map(ThreadPool& pool, std::size_t n, unsigned width, Fn fn)
   }
   done.wait();
   return results;
-}
-
-// Strict map over the shared pool: returns values in index order and
-// rethrows the first captured exception (by index) in the caller's
-// thread — the caller decides the failure policy, not std::terminate.
-template <typename Fn>
-auto parallel_map(std::size_t n, unsigned threads, Fn fn)
-    -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>> {
-  using Result = std::decay_t<decltype(fn(std::size_t{0}))>;
-  std::vector<Result> out;
-  out.reserve(n);
-  if (threads <= 1 || n <= 1) {
-    // Serial fast path: no pool spin-up for single-threaded callers.
-    for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
-    return out;
-  }
-  auto tried = parallel_try_map(shared_pool(), n, threads, std::move(fn));
-  for (TaskResult<Result>& r : tried) {
-    if (!r.ok()) std::rethrow_exception(r.exception);
-    out.push_back(std::move(*r.value));
-  }
-  return out;
 }
 
 }  // namespace wmn::exp

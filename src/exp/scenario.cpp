@@ -310,33 +310,22 @@ void Scenario::build_traffic() {
     const sim::Time start = starts[i];
     const std::uint32_t fid = flow_id++;
     switch (cfg_.traffic.model) {
-      case TrafficSpec::Model::kPoissonOnOff: {
-        traffic::PoissonOnOffConfig fc;
-        fc.flow_id = fid;
-        fc.dest = net::Address(dst);
-        fc.packet_bytes = cfg_.traffic.packet_bytes;
-        fc.rate_pps = cfg_.traffic.rate_pps;
-        fc.mean_on = sim::Time::seconds(cfg_.traffic.mean_on_s);
-        fc.mean_off = sim::Time::seconds(cfg_.traffic.mean_off_s);
-        fc.start = start;
-        fc.stop = stop;
-        onoff_sources_.push_back(std::make_unique<traffic::PoissonOnOffSource>(
-            node_sim(src), fc, *nodes_[src].agent, node_factory(src),
-            node_registry(src)));
-        break;
-      }
+      case TrafficSpec::Model::kPoissonOnOff:
       case TrafficSpec::Model::kHeavyTailOnOff: {
-        traffic::HeavyTailOnOffConfig fc;
+        traffic::OnOffConfig fc;
         fc.flow_id = fid;
         fc.dest = net::Address(dst);
         fc.packet_bytes = cfg_.traffic.packet_bytes;
         fc.rate_pps = cfg_.traffic.rate_pps;
-        fc.pareto_shape = cfg_.traffic.pareto_shape;
+        if (cfg_.traffic.model == TrafficSpec::Model::kHeavyTailOnOff) {
+          fc.on_law = traffic::OnOffConfig::OnLaw::kPareto;
+          fc.pareto_shape = cfg_.traffic.pareto_shape;
+        }
         fc.mean_on = sim::Time::seconds(cfg_.traffic.mean_on_s);
         fc.mean_off = sim::Time::seconds(cfg_.traffic.mean_off_s);
         fc.start = start;
         fc.stop = stop;
-        heavy_sources_.push_back(std::make_unique<traffic::HeavyTailOnOffSource>(
+        onoff_sources_.push_back(std::make_unique<traffic::OnOffSource>(
             node_sim(src), fc, *nodes_[src].agent, node_factory(src),
             node_registry(src)));
         break;

@@ -25,7 +25,6 @@
 #include "sim/sharded_simulator.hpp"
 #include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
-#include "traffic/heavy_tail_source.hpp"
 #include "traffic/packet_sink.hpp"
 #include "traffic/session_source.hpp"
 
@@ -280,8 +279,7 @@ class Scenario {
   std::vector<traffic::NodePair> flow_pairs_;
   std::vector<std::uint32_t> gateways_;
   std::vector<std::unique_ptr<traffic::CbrSource>> cbr_sources_;
-  std::vector<std::unique_ptr<traffic::PoissonOnOffSource>> onoff_sources_;
-  std::vector<std::unique_ptr<traffic::HeavyTailOnOffSource>> heavy_sources_;
+  std::vector<std::unique_ptr<traffic::OnOffSource>> onoff_sources_;
   std::vector<std::unique_ptr<traffic::SessionSource>> session_sources_;
   bool ran_ = false;
   double wall_seconds_ = 0.0;

@@ -45,12 +45,12 @@ concept Header = requires {
 
 class Packet {
  public:
-  Packet(PacketArena* arena, std::uint64_t uid, std::uint32_t payload_bytes,
+  // Packets come from a PacketFactory, which owns the arena.
+  Packet(PacketArena& arena, std::uint64_t uid, std::uint32_t payload_bytes,
          sim::Time created)
       : uid_(uid), payload_bytes_(payload_bytes), created_(created),
-        arena_(arena) {
-    WMN_CHECK_NOTNULL(arena_, "packets require an arena (use PacketFactory)");
-    arena_->add_ref();
+        arena_(&arena) {
+    arena.add_ref();
   }
 
   // Copies share immutable header payloads (cheap broadcast fan-out).
@@ -176,7 +176,7 @@ class Packet {
   // regions never share refcounted nodes; see phy::ShardRouter).
   // Header payloads are copied bit-for-bit, byte accounting and flow
   // metadata carry over; the uid comes from the destination factory.
-  [[nodiscard]] Packet clone_into(PacketArena* arena, std::uint64_t new_uid) const {
+  [[nodiscard]] Packet clone_into(PacketArena& arena, std::uint64_t new_uid) const {
     Packet out(arena, new_uid, payload_bytes_, created_);
     out.header_bytes_ = header_bytes_;
     out.flow_ = flow_;
@@ -187,11 +187,11 @@ class Packet {
  private:
   // Bottom-up so each fresh node links to an already-cloned tail; the
   // stack is a handful of headers deep, so recursion is fine.
-  static PacketArena::Node* clone_chain(PacketArena* arena,
+  static PacketArena::Node* clone_chain(PacketArena& arena,
                                         const PacketArena::Node* src) {
     if (src == nullptr) return nullptr;
     PacketArena::Node* next = clone_chain(arena, src->next);
-    PacketArena::Node* n = arena->allocate();
+    PacketArena::Node* n = arena.allocate();
     n->next = next;
     n->refs = 1;
     n->wire_size = src->wire_size;
@@ -246,13 +246,13 @@ class PacketFactory {
   ~PacketFactory() { arena_->release_ref(); }
 
   [[nodiscard]] Packet make(std::uint32_t payload_bytes, sim::Time now) {
-    return Packet(arena_, ++next_uid_, payload_bytes, now);
+    return Packet(*arena_, ++next_uid_, payload_bytes, now);
   }
 
   // Deep copy of a packet (typically owned by another factory's arena)
   // into this factory's arena. Counts as a created packet here.
   [[nodiscard]] Packet clone(const Packet& src) {
-    return src.clone_into(arena_, ++next_uid_);
+    return src.clone_into(*arena_, ++next_uid_);
   }
 
   [[nodiscard]] std::uint64_t packets_created() const { return next_uid_; }

@@ -75,7 +75,7 @@ class PacketArena {
   void add_ref() { ++refs_; }
   void release_ref() {
     WMN_CHECK_GT(refs_, std::uint64_t{0}, "arena refcount underflow");
-    if (--refs_ == 0) delete this;
+    if (--refs_ == 0) destroy();
   }
 
   // --- node allocation -------------------------------------------------
@@ -131,6 +131,12 @@ class PacketArena {
   }
 
   void grow();
+  // `delete this`, out of line so that no caller inlines the free. A
+  // caller that drops a packet's reference and then the factory's sees
+  // both decrements but not that the count stays positive in between,
+  // and GCC 12 then reports the second one as -Wuse-after-free (and, in
+  // a test that replaces global operator new, -Wmismatched-new-delete).
+  void destroy();
 
   Node* free_head_ = nullptr;
   std::size_t free_count_ = 0;

@@ -297,8 +297,7 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
       }
     }
     LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm,
-                               src_pos, src.node_id(), rebuild_batch_,
-                               eval_mode_);
+                               src_pos, src.node_id(), rebuild_batch_);
   }
 
   std::size_t cursor = 0;
@@ -370,7 +369,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
     }
   }
   LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm, tx_pos,
-                             src.node_id(), batch_, eval_mode_);
+                             src.node_id(), batch_);
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t rx = nc.rx_index[i];
@@ -407,7 +406,7 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
     batch_.push(rx->position(now), rx->node_id(),
                 rx->channel_index());
   }
-  LinkBudgetKernel::compute_distances(batch_, tx_pos, eval_mode_);
+  LinkBudgetKernel::compute_distances(batch_, tx_pos);
 
   // Distance prefilter: the source's conservative max_range_m
   // inversion at the minimum attached floor — the same proof the

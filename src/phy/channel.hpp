@@ -181,11 +181,6 @@ class WirelessChannel {
   // overlay must outlive its installation. See phy/fault_overlay.hpp.
   void set_fault_overlay(const FaultOverlay* overlay) { fault_ = overlay; }
 
-  // Test hook: force the kernel's scalar path (kAuto uses the explicit
-  // SIMD lanes when available). Outputs are bit-identical either way —
-  // the batch-vs-scalar equivalence tests pin exactly that.
-  void set_link_eval_mode(LinkBudgetKernel::Mode mode) { eval_mode_ = mode; }
-
   // Each copy this channel propagates ends in exactly one of delivered,
   // dropped_floor or dropped_fault, or is still in flight: without a
   // shard router, delivered + floor + fault + deliveries_in_flight() ==
@@ -286,7 +281,6 @@ class WirelessChannel {
   std::vector<ArrivalLane::Item> staged_;
   std::size_t in_flight_ = 0;
   Counters counters_;
-  LinkBudgetKernel::Mode eval_mode_ = LinkBudgetKernel::Mode::kAuto;
   // Reusable kernel buffers (hoisted out of any per-node state): one
   // for per-transmission evaluation, one for cache rebuilds.
   LinkBudgetKernel::Batch batch_;

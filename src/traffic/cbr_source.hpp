@@ -2,8 +2,12 @@
 //
 // CbrSource emits fixed-size packets at a constant rate between start
 // and stop times (the evaluation workload: 512-byte UDP-style CBR).
-// PoissonOnOffSource alternates exponential ON/OFF periods, emitting
-// CBR during ON — the bursty variant used in the congestion benches.
+// OnOffSource alternates ON and OFF periods, emitting CBR during ON.
+// OFF gaps are exponential; the ON-period law is exponential (the
+// bursty variant used in the congestion benches) or Pareto with shape
+// alpha > 1, the production-workload burst model (F11): superposing
+// many such sources yields long-range-dependent aggregate load, the
+// self-similar traffic real gateways see.
 //
 // Timing contract (shared by every source in traffic::): packet k of a
 // pacing run is scheduled at the *absolute* time base + k/rate, not by
@@ -16,12 +20,16 @@
 // `stop`: the pacing timer is cleared the moment the next tick would
 // cross the horizon, so no dead wakeups churn the calendar after the
 // traffic window closes.
+//
+// Determinism contract: each source draws from one RngStream salted by
+// its kind (and, for OnOffSource, its ON-period law) and flow id, in an
+// order fixed by its own history (off gap, on period, off gap, ...), so
+// same-seed fingerprints are bit-identical serial vs pooled.
 #pragma once
 
 #include <cstdint>
 
-#include "routing/aodv.hpp"
-#include "traffic/flow_registry.hpp"
+#include "traffic/flow_sender.hpp"
 
 namespace wmn::traffic {
 
@@ -47,7 +55,9 @@ class CbrSource {
   CbrSource(const CbrSource&) = delete;
   CbrSource& operator=(const CbrSource&) = delete;
 
-  [[nodiscard]] std::uint64_t packets_sent() const { return seq_; }
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    return sender_.packets_sent();
+  }
   [[nodiscard]] std::uint32_t flow_id() const { return cfg_.flow_id; }
   // True while a pacing event is scheduled; false once the source has
   // crossed `stop` (no stale EventId is ever left behind).
@@ -60,55 +70,62 @@ class CbrSource {
 
   sim::Simulator& sim_;
   CbrConfig cfg_;
-  routing::AodvAgent& agent_;
-  net::PacketFactory& factory_;
-  FlowRegistry& registry_;
+  FlowSender sender_;
   sim::RngStream rng_;
   sim::Time base_{};  // time of packet 0 (start + random phase)
-  std::uint64_t seq_ = 0;
   sim::EventId timer_{};
 };
 
-struct PoissonOnOffConfig {
+struct OnOffConfig {
+  enum class OnLaw : std::uint8_t {
+    kExponential,  // mean `mean_on`
+    kPareto,       // shape `pareto_shape`, scale set to realise `mean_on`
+  };
+
   std::uint32_t flow_id = 0;
   net::Address dest;
   std::uint32_t packet_bytes = 512;
-  double rate_pps = 8.0;          // rate while ON
+  double rate_pps = 8.0;  // rate while ON
+  OnLaw on_law = OnLaw::kExponential;
+  double pareto_shape = 1.5;  // alpha; kPareto only, must be > 1
   sim::Time mean_on = sim::Time::seconds(2.0);
-  sim::Time mean_off = sim::Time::seconds(2.0);
+  sim::Time mean_off = sim::Time::seconds(2.0);  // exponential gap
   sim::Time start{};
   sim::Time stop = sim::Time::max();
 };
 
-class PoissonOnOffSource {
+class OnOffSource {
  public:
-  PoissonOnOffSource(sim::Simulator& simulator, const PoissonOnOffConfig& cfg,
-                     routing::AodvAgent& agent, net::PacketFactory& factory,
-                     FlowRegistry& registry);
-  ~PoissonOnOffSource();
+  OnOffSource(sim::Simulator& simulator, const OnOffConfig& cfg,
+              routing::AodvAgent& agent, net::PacketFactory& factory,
+              FlowRegistry& registry);
+  ~OnOffSource();
 
-  PoissonOnOffSource(const PoissonOnOffSource&) = delete;
-  PoissonOnOffSource& operator=(const PoissonOnOffSource&) = delete;
+  OnOffSource(const OnOffSource&) = delete;
+  OnOffSource& operator=(const OnOffSource&) = delete;
 
-  [[nodiscard]] std::uint64_t packets_sent() const { return seq_; }
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    return sender_.packets_sent();
+  }
+  [[nodiscard]] std::uint64_t bursts_started() const { return bursts_; }
+  [[nodiscard]] std::uint32_t flow_id() const { return cfg_.flow_id; }
   [[nodiscard]] bool timer_armed() const { return timer_.valid(); }
 
  private:
   void begin_on();
   void begin_off();
   void emit();
+  [[nodiscard]] sim::Time draw_on_period();
   // Schedule `fn` at `at` unless that would cross the stop horizon, in
   // which case the timer is cleared and the source goes quiet for good.
   template <typename Fn>
   void schedule_guarded(sim::Time at, Fn fn);
 
   sim::Simulator& sim_;
-  PoissonOnOffConfig cfg_;
-  routing::AodvAgent& agent_;
-  net::PacketFactory& factory_;
-  FlowRegistry& registry_;
+  OnOffConfig cfg_;
+  FlowSender sender_;
   sim::RngStream rng_;
-  std::uint64_t seq_ = 0;
+  std::uint64_t bursts_ = 0;
   bool on_ = false;
   sim::Time on_ends_{};
   sim::Time burst_base_{};        // time of packet 0 of the current burst

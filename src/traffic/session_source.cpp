@@ -17,9 +17,8 @@ SessionSource::SessionSource(sim::Simulator& simulator,
                              FlowRegistry& registry)
     : sim_(simulator),
       cfg_(cfg),
-      agent_(agent),
-      factory_(factory),
-      registry_(registry),
+      sender_(agent, factory, registry, cfg.flow_id, cfg.dest,
+              cfg.packet_bytes),
       rng_(simulator.make_stream(kSessionStreamSalt ^ cfg.flow_id)) {
   WMN_CHECK_GT(cfg_.users, 0u, "session source needs at least one user");
   WMN_CHECK_GT(cfg_.session_rate_per_user_per_s, 0.0,
@@ -31,7 +30,6 @@ SessionSource::SessionSource(sim::Simulator& simulator,
                "Pareto shape must exceed 1 (finite mean session size)");
   WMN_CHECK_GT(cfg_.max_active_sessions, 0u,
                "session concurrency cap must be positive");
-  registry_.register_flow(cfg_.flow_id, agent_.address(), cfg_.dest);
   sessions_.resize(cfg_.max_active_sessions);
 
   double aggregate_rate = static_cast<double>(cfg_.users) *
@@ -112,13 +110,7 @@ void SessionSource::emit(std::uint32_t slot) {
     finish_session(slot);
     return;
   }
-  net::Packet pkt = factory_.make(cfg_.packet_bytes, sim_.now());
-  pkt.set_flow_info(net::Packet::FlowInfo{.seq = ++seq_,
-                                          .sent_at = sim_.now(),
-                                          .flow_id = cfg_.flow_id,
-                                          .valid = true});
-  registry_.record_sent(cfg_.flow_id, cfg_.packet_bytes, sim_.now());
-  agent_.send(std::move(pkt), cfg_.dest);
+  sender_.send(sim_.now());
   ++s.sent;
   --s.remaining;
   if (s.remaining == 0) {

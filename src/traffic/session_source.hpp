@@ -27,8 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "routing/aodv.hpp"
-#include "traffic/flow_registry.hpp"
+#include "traffic/flow_sender.hpp"
 #include "traffic/rate_envelope.hpp"
 
 namespace wmn::traffic {
@@ -63,7 +62,9 @@ class SessionSource {
   SessionSource(const SessionSource&) = delete;
   SessionSource& operator=(const SessionSource&) = delete;
 
-  [[nodiscard]] std::uint64_t packets_sent() const { return seq_; }
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    return sender_.packets_sent();
+  }
   [[nodiscard]] std::uint64_t sessions_started() const { return started_; }
   [[nodiscard]] std::uint64_t sessions_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t sessions_rejected() const { return rejected_; }
@@ -87,12 +88,9 @@ class SessionSource {
 
   sim::Simulator& sim_;
   SessionSourceConfig cfg_;
-  routing::AodvAgent& agent_;
-  net::PacketFactory& factory_;
-  FlowRegistry& registry_;
+  FlowSender sender_;
   sim::RngStream rng_;
   std::vector<Session> sessions_;  // fixed pool, size max_active_sessions
-  std::uint64_t seq_ = 0;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

@@ -85,20 +85,29 @@ TEST(CbrSource, DeliveredPacketsTracked) {
 }
 
 TEST(OnOffSource, RespectsStartStopWindow) {
-  TrafficBed tb;
-  PoissonOnOffConfig cfg;
-  cfg.flow_id = 3;
-  cfg.dest = net::Address(1);
-  cfg.rate_pps = 20.0;
-  cfg.mean_on = sim::Time::seconds(1.0);
-  cfg.mean_off = sim::Time::seconds(1.0);
-  cfg.start = sim::Time::seconds(2.0);
-  cfg.stop = sim::Time::seconds(12.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
-  tb.sim.run_until(sim::Time::seconds(15.0));
-  // Roughly half duty cycle: well below the CBR-equivalent 200, above 0.
-  EXPECT_GT(src.packets_sent(), 20u);
-  EXPECT_LT(src.packets_sent(), 200u);
+  for (const auto law :
+       {OnOffConfig::OnLaw::kExponential, OnOffConfig::OnLaw::kPareto}) {
+    TrafficBed tb;
+    OnOffConfig cfg;
+    cfg.flow_id = 3;
+    cfg.dest = net::Address(1);
+    cfg.rate_pps = 20.0;
+    cfg.on_law = law;
+    cfg.mean_on = sim::Time::seconds(1.0);
+    cfg.mean_off = sim::Time::seconds(1.0);
+    cfg.start = sim::Time::seconds(2.0);
+    cfg.stop = sim::Time::seconds(12.0);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+    tb.sim.run_until(sim::Time::seconds(15.0));
+    // Roughly half duty cycle: well below the CBR-equivalent 200, above 0.
+    EXPECT_GT(src.packets_sent(), 20u) << static_cast<int>(law);
+    EXPECT_LT(src.packets_sent(), 200u) << static_cast<int>(law);
+    EXPECT_GT(src.bursts_started(), 0u) << static_cast<int>(law);
+    EXPECT_FALSE(src.timer_armed()) << static_cast<int>(law);
+    const FlowRecord* r = tb.registry.find(3);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->sent, src.packets_sent());
+  }
 }
 
 // ----- FlowRegistry unit behaviour ------------------------------------------

@@ -3,7 +3,7 @@
 // Pins the timing contract shared by every traffic:: source (see
 // cbr_source.hpp): absolute-base pacing (no cumulative rounding drift)
 // and no events scheduled at or past `stop`. Also exercises the F11
-// workload family: heavy-tailed on/off bursts, the per-user session
+// workload family: on/off bursts under both ON-period laws, the per-user session
 // aggregation model, and the seeded flow-arrival process.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
 #include "traffic/flow_registry.hpp"
-#include "traffic/heavy_tail_source.hpp"
 #include "traffic/packet_sink.hpp"
 #include "traffic/rate_envelope.hpp"
 #include "traffic/session_source.hpp"
@@ -127,81 +126,119 @@ TEST(CbrTiming, NoEventsAfterStop) {
   EXPECT_FALSE(src.timer_armed());
 }
 
+constexpr OnOffConfig::OnLaw kOnLaws[] = {OnOffConfig::OnLaw::kExponential,
+                                          OnOffConfig::OnLaw::kPareto};
+
 TEST(OnOffTiming, NoEventsAfterStop) {
-  TrafficBed tb;
-  PoissonOnOffConfig cfg;
-  cfg.flow_id = 1;
-  cfg.dest = net::Address(1);
-  cfg.rate_pps = 20.0;
-  cfg.mean_on = sim::Time::seconds(0.5);
-  cfg.mean_off = sim::Time::seconds(0.5);
-  cfg.start = sim::Time::seconds(1.0);
-  cfg.stop = sim::Time::seconds(8.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
-  tb.sim.run_until(sim::Time::seconds(9.0));
-  EXPECT_FALSE(src.timer_armed());
-  const std::uint64_t at_stop = src.packets_sent();
-  tb.sim.run_until(sim::Time::seconds(25.0));
-  EXPECT_EQ(src.packets_sent(), at_stop);
-  EXPECT_FALSE(src.timer_armed());
+  for (const auto law : kOnLaws) {
+    TrafficBed tb;
+    OnOffConfig cfg;
+    cfg.flow_id = 1;
+    cfg.dest = net::Address(1);
+    cfg.rate_pps = 20.0;
+    cfg.on_law = law;
+    cfg.mean_on = sim::Time::seconds(0.5);
+    cfg.mean_off = sim::Time::seconds(0.5);
+    cfg.start = sim::Time::seconds(1.0);
+    cfg.stop = sim::Time::seconds(8.0);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+    tb.sim.run_until(sim::Time::seconds(9.0));
+    EXPECT_FALSE(src.timer_armed());
+    const std::uint64_t at_stop = src.packets_sent();
+    tb.sim.run_until(sim::Time::seconds(25.0));
+    EXPECT_EQ(src.packets_sent(), at_stop);
+    EXPECT_FALSE(src.timer_armed());
+  }
 }
 
 // An OFF period that would end past `stop` must not re-arm the burst
 // cycle (the stale off->on wakeup bug).
 TEST(OnOffTiming, OffPeriodCrossingStopGoesQuiet) {
-  TrafficBed tb;
-  PoissonOnOffConfig cfg;
-  cfg.flow_id = 1;
-  cfg.dest = net::Address(1);
-  cfg.rate_pps = 50.0;
-  cfg.mean_on = sim::Time::seconds(0.2);
-  cfg.mean_off = sim::Time::seconds(30.0);  // OFF gaps dwarf the window
-  cfg.start = sim::Time::seconds(1.0);
-  cfg.stop = sim::Time::seconds(5.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
-  tb.sim.run_until(sim::Time::seconds(40.0));
-  EXPECT_FALSE(src.timer_armed());
+  for (const auto law : kOnLaws) {
+    TrafficBed tb;
+    OnOffConfig cfg;
+    cfg.flow_id = 1;
+    cfg.dest = net::Address(1);
+    cfg.rate_pps = 50.0;
+    cfg.on_law = law;
+    cfg.mean_on = sim::Time::seconds(0.2);
+    cfg.mean_off = sim::Time::seconds(30.0);  // OFF gaps dwarf the window
+    cfg.start = sim::Time::seconds(1.0);
+    cfg.stop = sim::Time::seconds(5.0);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+    tb.sim.run_until(sim::Time::seconds(40.0));
+    EXPECT_FALSE(src.timer_armed());
+  }
 }
 
-// ----- heavy-tailed on/off source -------------------------------------------
+// ----- on/off bursts under both ON-period laws ------------------------------
 
-TEST(HeavyTailSource, EmitsBurstsWithinWindow) {
-  TrafficBed tb;
-  HeavyTailOnOffConfig cfg;
-  cfg.flow_id = 1;
-  cfg.dest = net::Address(1);
-  cfg.rate_pps = 20.0;
-  cfg.mean_on = sim::Time::seconds(1.0);
-  cfg.mean_off = sim::Time::seconds(1.0);
-  cfg.start = sim::Time::seconds(1.0);
-  cfg.stop = sim::Time::seconds(21.0);
-  HeavyTailOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
-  tb.sim.run_until(sim::Time::seconds(23.0));
-  EXPECT_GT(src.bursts_started(), 0u);
-  EXPECT_GT(src.packets_sent(), 0u);
-  // Roughly half duty cycle: well below the CBR-equivalent 400.
-  EXPECT_LT(src.packets_sent(), 400u);
-  EXPECT_FALSE(src.timer_armed());
-  const std::uint64_t at_stop = src.packets_sent();
-  tb.sim.run_until(sim::Time::seconds(60.0));
-  EXPECT_EQ(src.packets_sent(), at_stop);
+TEST(OnOffSource, EmitsBurstsWithinWindow) {
+  for (const auto law : kOnLaws) {
+    TrafficBed tb;
+    OnOffConfig cfg;
+    cfg.flow_id = 1;
+    cfg.dest = net::Address(1);
+    cfg.rate_pps = 20.0;
+    cfg.on_law = law;
+    cfg.mean_on = sim::Time::seconds(1.0);
+    cfg.mean_off = sim::Time::seconds(1.0);
+    cfg.start = sim::Time::seconds(1.0);
+    cfg.stop = sim::Time::seconds(21.0);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+    tb.sim.run_until(sim::Time::seconds(23.0));
+    EXPECT_GT(src.bursts_started(), 0u) << static_cast<int>(law);
+    EXPECT_GT(src.packets_sent(), 0u) << static_cast<int>(law);
+    // Roughly half duty cycle: well below the CBR-equivalent 400.
+    EXPECT_LT(src.packets_sent(), 400u) << static_cast<int>(law);
+    EXPECT_FALSE(src.timer_armed());
+    const std::uint64_t at_stop = src.packets_sent();
+    tb.sim.run_until(sim::Time::seconds(60.0));
+    EXPECT_EQ(src.packets_sent(), at_stop);
+  }
 }
 
-TEST(HeavyTailSource, SameSeedSameSchedule) {
-  auto run_once = [] {
+// Each law draws from its own salted stream, and each schedule is a
+// pure function of the seed.
+TEST(OnOffSource, SameSeedSameScheduleLawsDiffer) {
+  auto run_once = [](OnOffConfig::OnLaw law) {
     TrafficBed tb(42);
-    HeavyTailOnOffConfig cfg;
+    OnOffConfig cfg;
     cfg.flow_id = 7;
     cfg.dest = net::Address(1);
     cfg.rate_pps = 20.0;
+    cfg.on_law = law;
     cfg.start = sim::Time::seconds(1.0);
     cfg.stop = sim::Time::seconds(15.0);
-    HeavyTailOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory,
-                             tb.registry);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
     tb.sim.run_until(sim::Time::seconds(16.0));
     return std::pair{src.packets_sent(), src.bursts_started()};
   };
-  EXPECT_EQ(run_once(), run_once());
+  for (const auto law : kOnLaws) EXPECT_EQ(run_once(law), run_once(law));
+  EXPECT_NE(run_once(OnOffConfig::OnLaw::kExponential),
+            run_once(OnOffConfig::OnLaw::kPareto));
+}
+
+// The finite-mean check on the Pareto shape guards the Pareto law only.
+TEST(OnOffSourceDeathTest, ParetoShapeCheckedOnlyForParetoLaw) {
+  OnOffConfig cfg;
+  cfg.flow_id = 1;
+  cfg.dest = net::Address(1);
+  cfg.pareto_shape = 0.9;
+  cfg.stop = sim::Time::seconds(5.0);
+  {
+    TrafficBed tb;
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+    tb.sim.run_until(sim::Time::seconds(6.0));
+    EXPECT_FALSE(src.timer_armed());
+  }
+  cfg.on_law = OnOffConfig::OnLaw::kPareto;
+  EXPECT_DEATH(
+      {
+        TrafficBed tb;
+        OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+      },
+      "Pareto shape must exceed 1");
 }
 
 // ----- per-user session aggregation -----------------------------------------
